@@ -950,8 +950,10 @@ fn bench_fused_mul_chain(
 }
 
 /// Benchmarks the 64-bit planned NTT executed inline vs stage-by-stage on the
-/// virtual-GPU launcher (one thread per butterfly, a launch barrier per stage).
-/// Returns `(inline_ns_per_butterfly, launcher_ns_per_butterfly)`.
+/// virtual-GPU launcher (one thread per butterfly, a launch barrier per stage),
+/// the launcher side through the session-pooled [`moma::NttSpace::forward_batch`]
+/// with a batch of one. Returns `(inline_ns_per_butterfly,
+/// launcher_ns_per_butterfly)`.
 fn bench_ntt_launcher(session: &Session, n: usize, iters: u32) -> (f64, f64) {
     let space = session.ntt_default(n);
     let mut rng = rand::thread_rng();
@@ -959,7 +961,7 @@ fn bench_ntt_launcher(session: &Session, n: usize, iters: u32) -> (f64, f64) {
     let butterflies = butterfly_count(n) as f64;
     let inline = best_run(iters, &data, |w| space.forward(w)) * 1e9 / butterflies;
     let launched = best_run(iters, &data, |w| {
-        space.plan().forward_on_launcher(w);
+        space.forward_batch(w);
     }) * 1e9
         / butterflies;
     (inline, launched)
@@ -978,7 +980,7 @@ struct BatchedNttBench {
 
 /// Benchmarks `batch` transforms of size `n` run through one stage-batched
 /// launch sequence ([`moma::NttSpace::forward_batch`], grid = batch × n/2 per
-/// stage) vs the same transforms launched one by one.
+/// stage) vs the same transforms launched one by one (each a batch of one).
 fn bench_ntt_batched(session: &Session, n: usize, batch: usize, iters: u32) -> BatchedNttBench {
     let space = session.ntt_default(n);
     let mut rng = rand::thread_rng();
@@ -992,7 +994,7 @@ fn bench_ntt_batched(session: &Session, n: usize, batch: usize, iters: u32) -> B
         / butterflies;
     let single = best_run(iters, &data, |w| {
         for transform in w.chunks_exact_mut(n) {
-            space.plan().forward_on_launcher(transform);
+            space.forward_batch(transform);
         }
     }) * 1e9
         / butterflies;
@@ -1001,7 +1003,7 @@ fn bench_ntt_batched(session: &Session, n: usize, batch: usize, iters: u32) -> B
     let batched_launches = space.forward_batch(&mut probe).launches;
     let mut single_launches = 0;
     for transform in probe.chunks_exact_mut(n) {
-        single_launches += space.plan().forward_on_launcher(transform).launches;
+        single_launches += space.forward_batch(transform).launches;
     }
     BatchedNttBench {
         batched_ns_per_butterfly: batched,

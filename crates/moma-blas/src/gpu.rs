@@ -2,16 +2,17 @@
 
 use crate::batch::{apply_element, Batch};
 use crate::BlasOp;
-use moma_gpu::launch::{launch_map, LaunchStats};
+use moma_gpu::launch::{launch_chunks, LaunchStats};
 use moma_mp::{ModRing, MpUint};
 
 /// Runs one BLAS operation over a batch with one virtual GPU thread per element,
 /// returning the result and the launch statistics (wall-clock time on the host thread
 /// pool).
 ///
-/// Elements are chunked across `std::thread::scope` workers sized by the machine's
-/// available parallelism; every worker writes a disjoint slice of the output, so the
-/// launch has no lock on its hot path.
+/// Elements are split across host workers sized by the machine's available
+/// parallelism; every worker writes a disjoint slice of the pre-sized output, so
+/// the launch has no lock on its hot path. The output batch is the launch's one
+/// allocation.
 ///
 /// # Panics
 ///
@@ -26,9 +27,11 @@ pub fn run_batch_parallel<const L: usize>(
     assert_eq!(x.data.len(), y.data.len(), "batch shape mismatch");
     assert_eq!(x.vector_len, y.vector_len, "batch shape mismatch");
     let n = x.data.len();
-    let (data, stats) = launch_map(n, |i| {
-        apply_element(ring, op, a_scalar, x.data[i], y.data[i])
+    let mut data = vec![MpUint::ZERO; n];
+    let mut stats = launch_chunks(&mut data, 1, |i, out| {
+        out[0] = apply_element(ring, op, a_scalar, x.data[i], y.data[i]);
     });
+    stats.allocs = usize::from(n > 0);
     (
         Batch {
             data,
@@ -58,6 +61,7 @@ mod tests {
             let (parallel, stats) = run_batch_parallel(&ring, op, a, &x, &y);
             assert_eq!(parallel, sequential, "{op:?}");
             assert_eq!(stats.threads, 256);
+            assert_eq!(stats.allocs, 1, "the output batch is the one allocation");
         }
     }
 

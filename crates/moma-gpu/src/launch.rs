@@ -3,31 +3,33 @@
 //!
 //! The paper's BLAS kernels assign one CUDA thread per vector element and its NTT
 //! kernels one thread per butterfly (§5.1). This module reproduces that model on the
-//! host: the index space `0..n` is chunked over `std::thread::scope` workers sized by
-//! [`std::thread::available_parallelism`], each element runs the same kernel, and the
-//! wall-clock time of the whole launch is reported.
+//! host: a launch splits its units of work into at most
+//! [`std::thread::available_parallelism`] contiguous spans, every unit runs the same
+//! kernel, and the wall-clock time of the whole launch is reported.
 //!
-//! Three tiers of entry points:
+//! Four entry points, one per shape of work:
 //!
-//! * [`launch_indexed`] — runs a side-effecting closure per element (the most general
-//!   form; callers own their output storage and synchronization);
-//! * [`launch_map`] / [`launch_map_with`] — runs a *value-returning* closure per
-//!   element and collects the results in index order. Each worker writes a disjoint
-//!   chunk, so there is no lock on the output path; the `_with` variant additionally
-//!   gives every worker its own mutable state (a compiled-kernel scratch frame, an
-//!   RNG, …) initialized once per worker rather than once per element;
-//! * [`launch_kernel`] / [`launch_compiled`] — executes a *generated* machine-level
-//!   kernel per element. `launch_kernel` compiles the kernel once and routes the hot
-//!   loop through [`moma_ir::compiled::CompiledKernel`]; the tree interpreter remains
-//!   available as the correctness oracle (`moma_ir::interp`), and the test suites
-//!   cross-check the two. [`launch_compiled_batch`] is the flat single-output batch
-//!   form, and [`launch_compiled_rows`] the multi-output form that scatters each
-//!   output to its own row — the shape fused residue kernels (one kernel computing
-//!   every target row of a base conversion) need to run in a single launch.
+//! * [`launch_indexed`] — a side-effecting closure per element index (the NTT
+//!   butterfly stages; the caller owns its storage and synchronization);
+//! * [`launch_chunks`] — a closure per fixed-length chunk of a caller-owned slice,
+//!   written in place (one RNS residue row, one NTT element, one BLAS element);
+//! * [`launch_compiled_batch`] — a compiled machine-level kernel over a flat
+//!   row-major input batch, outputs returned flat in element order;
+//! * [`launch_compiled_rows`] — a multi-output compiled kernel run in lane blocks,
+//!   output `j` of every element scattered to row `j` — the shape fused residue
+//!   kernels (one kernel computing every target row of a base conversion) need to
+//!   run in a single launch.
+//!
+//! Each entry point carves its work into disjoint spans and hands them to one
+//! private executor, `fork_join`: a single span runs on the calling thread, several
+//! spans run in one `std::thread::scope`. Compiled launches take their scratch
+//! frames from a thread-local, so the steady state allocates none. The tree
+//! interpreter (`moma_ir::interp`) is the correctness oracle the compiled launches
+//! are tested against.
 
-use moma_ir::compiled::{BlockScratch, CompiledKernel, Scratch};
-use moma_ir::Kernel;
+use moma_ir::compiled::{BlockScratch, CompiledKernel, Scratch, LANE_BLOCK};
 use std::cell::RefCell;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Statistics of one simulated launch.
@@ -44,13 +46,12 @@ pub struct LaunchStats {
     pub launches: usize,
     /// Plane-sized heap buffers (output planes, working planes) the launch
     /// path allocated. In-place entry points ([`launch_indexed`],
-    /// [`launch_chunks`], [`launch_compiled_rows`],
-    /// [`launch_compiled_batch_into`]) report `0` — the caller owns the
-    /// output — and ops that route their planes through a
+    /// [`launch_chunks`], [`launch_compiled_rows`]) report `0` — the caller
+    /// owns the output — and ops that route their planes through a
     /// [`crate::pool::BufferPool`] report the pool-miss delta, so a warm
-    /// steady state reports `0` end to end. Per-worker scratch frames are
-    /// O(registers), not plane-sized, and are excluded (the inline
-    /// single-worker path reuses a thread-local frame and allocates none).
+    /// steady state reports `0` end to end. Scratch frames are O(registers),
+    /// not plane-sized, and are excluded (each host thread reuses one
+    /// thread-local frame).
     pub allocs: usize,
     /// Wall-clock time of the launch.
     pub elapsed: Duration,
@@ -102,25 +103,58 @@ fn worker_count() -> usize {
 }
 
 thread_local! {
-    /// Reusable per-thread scratch frames for the inline (single-worker)
-    /// compiled paths. Scratch frames self-retag when they move between
-    /// kernels, so one frame per thread serves every kernel that thread ever
-    /// launches — the steady state allocates no scratch at all. Scoped worker
-    /// threads are born fresh per launch and still build one frame each; that
-    /// frame is O(registers), not plane-sized, and is excluded from
+    /// Reusable per-thread scratch frames for the compiled launches. Scratch
+    /// frames self-retag when they move between kernels, so one frame per
+    /// thread serves every kernel that thread ever launches — the calling
+    /// thread's steady state allocates no scratch at all. Scoped worker
+    /// threads are born fresh per launch and build one frame each; that frame
+    /// is O(registers), not plane-sized, and is excluded from
     /// [`LaunchStats::allocs`].
-    static INLINE_SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
-    static INLINE_BLOCK_SCRATCH: RefCell<BlockScratch> = RefCell::new(BlockScratch::default());
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    static BLOCK_SCRATCH: RefCell<BlockScratch> = RefCell::new(BlockScratch::default());
 }
 
-/// Runs `f` with this thread's reusable scratch frame.
-fn with_inline_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
-    INLINE_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+/// Length of each span when `n` units are split over `workers`: `n` divided
+/// into at most `workers` spans of this length, the last one possibly shorter.
+fn span_len(n: usize, workers: usize) -> usize {
+    n.div_ceil(workers.max(1)).max(1)
 }
 
-/// Runs `f` with this thread's reusable lane-block frame.
-fn with_inline_block_scratch<R>(f: impl FnOnce(&mut BlockScratch) -> R) -> R {
-    INLINE_BLOCK_SCRATCH.with(|cell| f(&mut cell.borrow_mut()))
+/// The index ranges of `0..n` cut into spans of `len`.
+fn spans(n: usize, len: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
+    (0..n).step_by(len).map(move |lo| lo..(lo + len).min(n))
+}
+
+/// Runs `body` once per part and reports a one-launch [`LaunchStats`] over
+/// `threads` virtual threads — the one place a launch decides how it
+/// executes. The parts must be disjoint (index spans, `chunks_mut` windows).
+/// A single part runs on the calling thread, with no spawn and no heap
+/// allocation; several parts run on one scoped thread each, all joined
+/// before this returns.
+fn fork_join<P, F>(threads: usize, parts: impl ExactSizeIterator<Item = P>, body: F) -> LaunchStats
+where
+    P: Send,
+    F: Fn(P) + Sync,
+{
+    let start = Instant::now();
+    let workers = parts.len().max(1);
+    if workers == 1 {
+        parts.for_each(body);
+    } else {
+        std::thread::scope(|scope| {
+            for part in parts {
+                let body = &body;
+                scope.spawn(move || body(part));
+            }
+        });
+    }
+    LaunchStats {
+        threads,
+        workers,
+        launches: 1,
+        allocs: 0,
+        elapsed: start.elapsed(),
+    }
 }
 
 /// Runs `kernel_fn(i)` for every `i` in `0..n` across a host thread pool and reports
@@ -132,122 +166,19 @@ pub fn launch_indexed<F>(n: usize, kernel_fn: F) -> LaunchStats
 where
     F: Fn(usize) + Sync,
 {
-    let workers = worker_count().max(1);
-    let start = Instant::now();
-    if n > 0 {
-        if workers == 1 {
-            // One worker: run inline rather than paying a thread spawn for no
-            // parallelism (single-core hosts, cgroup-limited CI runners).
-            for i in 0..n {
-                kernel_fn(i);
-            }
-        } else {
-            let chunk = n.div_ceil(workers);
-            std::thread::scope(|scope| {
-                for w in 0..workers {
-                    let lo = w * chunk;
-                    let hi = ((w + 1) * chunk).min(n);
-                    if lo >= hi {
-                        continue;
-                    }
-                    let f = &kernel_fn;
-                    scope.spawn(move || {
-                        for i in lo..hi {
-                            f(i);
-                        }
-                    });
-                }
-            });
-        }
-    }
-    LaunchStats {
-        threads: n,
-        workers,
-        launches: 1,
-        allocs: 0,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Runs `f(i)` for every `i` in `0..n` in parallel and collects the results in
-/// index order.
-///
-/// Each worker fills a disjoint output chunk, so no synchronization is needed on
-/// the result path (unlike routing writes through a shared mutex, which serializes
-/// exactly the part of the launch that was supposed to be parallel).
-pub fn launch_map<T, F>(n: usize, f: F) -> (Vec<T>, LaunchStats)
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    launch_map_with(n, || (), |(), i| f(i))
-}
-
-/// Like [`launch_map`], but gives each worker its own mutable state created by
-/// `init` — scratch buffers, per-worker RNGs — initialized once per worker instead
-/// of once per element.
-pub fn launch_map_with<S, T, I, F>(n: usize, init: I, f: F) -> (Vec<T>, LaunchStats)
-where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize) -> T + Sync,
-{
-    let workers = worker_count().max(1);
-    let start = Instant::now();
-    let mut results: Vec<T> = Vec::with_capacity(n);
-    if n > 0 && workers == 1 {
-        // One worker: run inline (see `launch_indexed`).
-        let mut state = init();
-        results.extend((0..n).map(|i| f(&mut state, i)));
-    } else if n > 0 {
-        let chunk = n.div_ceil(workers);
-        let chunks: Vec<Vec<T>> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for w in 0..workers {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                if lo >= hi {
-                    continue;
-                }
-                let f = &f;
-                let init = &init;
-                handles.push(scope.spawn(move || {
-                    let mut state = init();
-                    (lo..hi).map(|i| f(&mut state, i)).collect::<Vec<T>>()
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("launch worker panicked"))
-                .collect()
-        });
-        for c in chunks {
-            results.extend(c);
-        }
-    }
-    (
-        results,
-        LaunchStats {
-            threads: n,
-            workers,
-            launches: 1,
-            // The collected output buffer; map launches that must not allocate
-            // belong on [`launch_chunks`] (in place) instead.
-            allocs: usize::from(n > 0),
-            elapsed: start.elapsed(),
-        },
-    )
+    let len = span_len(n, worker_count());
+    fork_join(n, spans(n, len), |span| span.for_each(&kernel_fn))
 }
 
 /// Runs one virtual thread per `chunk_len`-sized chunk of `out`, giving each
 /// thread index-order mutable access to exactly its own chunk (the last chunk may
 /// be shorter when the length does not divide evenly).
 ///
-/// This is the in-place counterpart of [`launch_map`] for kernels whose natural
-/// unit of work is a whole row — e.g. one RNS residue plane — rather than one
-/// element: the caller allocates the flat output once and every worker writes its
-/// disjoint rows directly, with no per-row collection or concatenation on the
-/// launch path.
+/// This is the in-place launch for kernels that produce values: the caller
+/// sizes the flat output once, and every worker writes its disjoint chunks
+/// directly, with no per-chunk collection or concatenation on the launch path.
+/// With `chunk_len == 1` it is one virtual thread per element; with a row
+/// length it is one virtual thread per row (one RNS residue plane).
 ///
 /// # Panics
 ///
@@ -259,109 +190,14 @@ where
 {
     assert!(chunk_len > 0, "chunk length must be positive");
     let n = out.len().div_ceil(chunk_len);
-    let workers = worker_count().max(1);
-    let start = Instant::now();
-    if n > 0 && workers == 1 {
-        // One worker: run inline (see `launch_indexed`).
-        for (i, chunk) in out.chunks_mut(chunk_len).enumerate() {
-            f(i, chunk);
+    // Each worker takes one contiguous group of `per` chunks.
+    let per = span_len(n, worker_count());
+    let parts = out.chunks_mut(per * chunk_len).enumerate();
+    fork_join(n, parts, |(s, group)| {
+        for (j, chunk) in group.chunks_mut(chunk_len).enumerate() {
+            f(s * per + j, chunk);
         }
-    } else if n > 0 {
-        let per = n.div_ceil(workers);
-        let mut chunks: Vec<(usize, &mut [T])> = out.chunks_mut(chunk_len).enumerate().collect();
-        std::thread::scope(|scope| {
-            while !chunks.is_empty() {
-                let take = per.min(chunks.len());
-                let batch: Vec<(usize, &mut [T])> = chunks.drain(..take).collect();
-                let f = &f;
-                scope.spawn(move || {
-                    for (i, chunk) in batch {
-                        f(i, chunk);
-                    }
-                });
-            }
-        });
-    }
-    LaunchStats {
-        threads: n,
-        workers,
-        launches: 1,
-        allocs: 0,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Executes an already-compiled machine-level kernel once per element,
-/// returning the outputs flat in element order ([`CompiledKernel::output_count`]
-/// words per element).
-///
-/// `fill(i, params)` writes the parameter words for element `i` into the
-/// provided slice. Each worker reuses one scratch frame and one parameter
-/// buffer for its whole chunk and writes outputs straight into its disjoint
-/// rows of the flat result — there is no per-element `Vec` on either the input
-/// or the output path (the allocations that made the old
-/// `Vec<Vec<u64>>`-collecting form an order of magnitude slower than the
-/// arithmetic it was launching).
-///
-/// # Panics
-///
-/// Panics if execution fails on any element (which would indicate an invalid
-/// generated kernel or malformed inputs).
-pub fn launch_compiled<I>(compiled: &CompiledKernel, n: usize, fill: I) -> (Vec<u64>, LaunchStats)
-where
-    I: Fn(usize, &mut [u64]) + Sync,
-{
-    let p = compiled.param_count();
-    let oc = compiled.output_count();
-    let workers = worker_count().max(1);
-    let start = Instant::now();
-    let mut out = vec![0u64; n * oc];
-    let run_rows = |scratch: &mut Scratch, lo: usize, hi: usize, out_slice: &mut [u64]| {
-        let mut params = vec![0u64; p];
-        for i in lo..hi {
-            fill(i, &mut params);
-            compiled
-                .run_into(
-                    &params,
-                    scratch,
-                    &mut out_slice[(i - lo) * oc..(i - lo + 1) * oc],
-                )
-                .unwrap_or_else(|e| panic!("generated kernel failed on element {i}: {e}"));
-        }
-    };
-    if n > 0 && workers == 1 {
-        // One worker: run inline with the thread's reusable frame (see
-        // `launch_indexed` for why inline).
-        with_inline_scratch(|scratch| run_rows(scratch, 0, n, &mut out));
-    } else if n > 0 {
-        let chunk = n.div_ceil(workers);
-        let mut slices: Vec<(usize, usize, &mut [u64])> = Vec::new();
-        let mut rest: &mut [u64] = &mut out;
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            let (head, tail) = rest.split_at_mut((hi - lo) * oc);
-            slices.push((lo, hi, head));
-            rest = tail;
-            lo = hi;
-        }
-        std::thread::scope(|scope| {
-            for (lo, hi, slice) in slices {
-                let run_rows = &run_rows;
-                scope.spawn(move || run_rows(&mut compiled.scratch(), lo, hi, slice));
-            }
-        });
-    }
-    (
-        out,
-        LaunchStats {
-            threads: n,
-            workers,
-            launches: 1,
-            allocs: usize::from(n > 0),
-            elapsed: start.elapsed(),
-        },
-    )
+    })
 }
 
 /// Executes an already-compiled kernel over a whole row-major input batch in one
@@ -369,12 +205,10 @@ where
 /// `inputs[i * param_count .. (i + 1) * param_count]`, and the outputs are
 /// returned flat in the same element order (`output_count` words per element).
 ///
-/// This is the fast path for large batches: contiguous row ranges are split
-/// across the host workers, each worker reuses one scratch frame and writes its
-/// slice of the flat output directly — no per-element input `Vec`, no
-/// per-element output allocation, no closure dispatch (the overhead that made
-/// the per-element [`launch_compiled`] path ~10× slower than the direct
-/// arithmetic it was measuring).
+/// Contiguous element spans are split across the host workers; each worker
+/// reuses one scratch frame and writes its slice of the flat output directly —
+/// no per-element input `Vec`, no per-element output allocation, no closure
+/// dispatch. The flat output is the launch's one allocation.
 ///
 /// # Panics
 ///
@@ -392,86 +226,27 @@ pub fn launch_compiled_batch(compiled: &CompiledKernel, inputs: &[u64]) -> (Vec<
     } else {
         inputs.len() / p
     };
-    let mut out = vec![0u64; n * compiled.output_count()];
-    let mut stats = launch_compiled_batch_into(compiled, inputs, &mut out);
-    stats.allocs += usize::from(n > 0);
-    (out, stats)
-}
-
-/// The caller-owns-the-output form of [`launch_compiled_batch`]: outputs are
-/// written straight into `out` (`output_count` words per element, element
-/// order), and the launch allocates nothing — callers that recycle `out`
-/// through a [`crate::pool::BufferPool`] get an allocation-free steady state.
-///
-/// # Panics
-///
-/// Panics if `inputs.len()` is not a multiple of the kernel's parameter count,
-/// if `out.len()` is not `elements × output_count`, or if execution fails on
-/// any element.
-pub fn launch_compiled_batch_into(
-    compiled: &CompiledKernel,
-    inputs: &[u64],
-    out: &mut [u64],
-) -> LaunchStats {
-    let p = compiled.param_count().max(1);
-    assert!(
-        inputs.len() % p == 0,
-        "flat input length must be a multiple of the parameter count"
-    );
-    let n = if compiled.param_count() == 0 {
-        0
-    } else {
-        inputs.len() / p
-    };
     let oc = compiled.output_count();
-    assert_eq!(
-        out.len(),
-        n * oc,
-        "output length must be elements * output_count()"
-    );
-    let workers = worker_count().max(1);
-    let start = Instant::now();
-    let run_rows = |scratch: &mut Scratch, lo: usize, hi: usize, out_slice: &mut [u64]| {
-        for i in lo..hi {
-            compiled
-                .run_into(
-                    &inputs[i * p..(i + 1) * p],
-                    scratch,
-                    &mut out_slice[(i - lo) * oc..(i - lo + 1) * oc],
-                )
-                .unwrap_or_else(|e| panic!("generated kernel failed on element {i}: {e}"));
-        }
-    };
-    if n > 0 && workers == 1 {
-        // One worker: run inline with the thread's reusable frame (see
-        // `launch_indexed`).
-        with_inline_scratch(|scratch| run_rows(scratch, 0, n, out));
-    } else if n > 0 {
-        let chunk = n.div_ceil(workers);
-        let mut slices: Vec<(usize, usize, &mut [u64])> = Vec::new();
-        let mut rest: &mut [u64] = out;
-        let mut lo = 0;
-        while lo < n {
-            let hi = (lo + chunk).min(n);
-            let (head, tail) = rest.split_at_mut((hi - lo) * oc);
-            slices.push((lo, hi, head));
-            rest = tail;
-            lo = hi;
-        }
-        std::thread::scope(|scope| {
-            for (lo, hi, slice) in slices {
-                let run_rows = &run_rows;
-                scope.spawn(move || run_rows(&mut compiled.scratch(), lo, hi, slice));
+    let mut out = vec![0u64; n * oc];
+    let len = span_len(n, worker_count());
+    let parts = out.chunks_mut((len * oc).max(1)).zip(spans(n, len));
+    let mut stats = fork_join(n, parts, |(rows, span)| {
+        SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            let lo = span.start;
+            for i in span {
+                compiled
+                    .run_into(
+                        &inputs[i * p..(i + 1) * p],
+                        scratch,
+                        &mut rows[(i - lo) * oc..(i - lo + 1) * oc],
+                    )
+                    .unwrap_or_else(|e| panic!("generated kernel failed on element {i}: {e}"));
             }
-        });
-    }
-    LaunchStats {
-        threads: n,
-        workers,
-        launches: 1,
-        allocs: 0,
-        elapsed: start.elapsed(),
-    }
+        })
+    });
+    stats.allocs = usize::from(n > 0);
+    (out, stats)
 }
 
 /// Executes a multi-output compiled kernel over every element in a single
@@ -479,16 +254,15 @@ pub fn launch_compiled_batch_into(
 /// row-major matrix layout a residue-plane consumer needs.
 ///
 /// Elements run in lane blocks through [`CompiledKernel::run_lanes`]: each
-/// bytecode instruction dispatches once per block of up to
-/// [`moma_ir::compiled::LANE_BLOCK`] elements, and parameters are loaded a
-/// whole block at a time — `fill(p, lo, lanes)` must write parameter `p` for
-/// the consecutive elements `lo..lo + lanes.len()` into `lanes`, which for
-/// row-major input planes is a contiguous row copy rather than a per-element
-/// gather. Compared with running one [`launch_compiled_batch`] per output row,
-/// this pays the fixed launch cost **once** for all rows, reads each input
-/// element once instead of once per row, and never materializes an
-/// element-major intermediate: every worker owns a disjoint column range of
-/// each output row and writes results in place.
+/// bytecode instruction dispatches once per block of up to [`LANE_BLOCK`]
+/// elements, and parameters are loaded a whole block at a time —
+/// `fill(p, lo, lanes)` must write parameter `p` for the consecutive elements
+/// `lo..lo + lanes.len()` into `lanes`, which for row-major input planes is a
+/// contiguous row copy rather than a per-element gather. Compared with running
+/// one [`launch_compiled_batch`] per output row, this pays the fixed launch
+/// cost **once** for all rows, reads each input element once instead of once
+/// per row, and never materializes an element-major intermediate: every worker
+/// owns a disjoint column range of each output row and writes results in place.
 ///
 /// `out.len()` must equal `output_count() * cols`; the launch reports `cols`
 /// virtual threads (one per element, each producing a full output column).
@@ -512,89 +286,39 @@ where
         oc * cols,
         "output length must be output_count() * cols"
     );
-    let workers = worker_count().max(1);
-    let start = Instant::now();
-    let run_cols = |scratch: &mut BlockScratch, lo: usize, hi: usize, rows: &mut [&mut [u64]]| {
-        let mut base = lo;
-        while base < hi {
-            let n = (hi - base).min(moma_ir::compiled::LANE_BLOCK);
-            compiled
-                .run_lanes(
-                    n,
-                    scratch,
-                    |p, lanes| fill(p, base, lanes),
-                    |j, lanes| rows[j][base - lo..base - lo + n].copy_from_slice(lanes),
-                )
-                .unwrap_or_else(|e| {
-                    panic!(
-                        "generated kernel failed on elements {base}..{}: {e}",
-                        base + n
+    // Carve every output row into the same column spans, so each part holds
+    // a disjoint `&mut` window of all rows at once.
+    let len = span_len(cols, worker_count());
+    let mut parts: Vec<(Range<usize>, Vec<&mut [u64]>)> = spans(cols, len)
+        .map(|span| (span, Vec::with_capacity(oc)))
+        .collect();
+    for row in out.chunks_mut(cols.max(1)) {
+        for ((_, windows), window) in parts.iter_mut().zip(row.chunks_mut(len)) {
+            windows.push(window);
+        }
+    }
+    fork_join(cols, parts.into_iter(), |(span, mut rows)| {
+        let (lo, hi) = (span.start, span.end);
+        BLOCK_SCRATCH.with(|cell| {
+            let scratch = &mut *cell.borrow_mut();
+            for base in span.step_by(LANE_BLOCK) {
+                let n = (hi - base).min(LANE_BLOCK);
+                compiled
+                    .run_lanes(
+                        n,
+                        scratch,
+                        |p, lanes| fill(p, base, lanes),
+                        |j, lanes| rows[j][base - lo..base - lo + n].copy_from_slice(lanes),
                     )
-                });
-            base += n;
-        }
-    };
-    if cols > 0 && oc > 0 && workers == 1 {
-        // One worker: run inline with the thread's reusable frame (see
-        // `launch_indexed`).
-        let mut rows: Vec<&mut [u64]> = out.chunks_mut(cols).collect();
-        with_inline_block_scratch(|scratch| run_cols(scratch, 0, cols, &mut rows));
-    } else if cols > 0 && oc > 0 {
-        // Carve every output row into the same per-worker column ranges, so
-        // each worker holds a disjoint `&mut` window of all rows at once.
-        let chunk = cols.div_ceil(workers);
-        let mut bounds = Vec::new();
-        let mut lo = 0;
-        while lo < cols {
-            bounds.push((lo, (lo + chunk).min(cols)));
-            lo = (lo + chunk).min(cols);
-        }
-        let mut bundles: Vec<Vec<&mut [u64]>> =
-            bounds.iter().map(|_| Vec::with_capacity(oc)).collect();
-        for row in out.chunks_mut(cols) {
-            let mut rest = row;
-            for (w, &(lo, hi)) in bounds.iter().enumerate() {
-                let (head, tail) = rest.split_at_mut(hi - lo);
-                bundles[w].push(head);
-                rest = tail;
+                    .unwrap_or_else(|e| {
+                        panic!(
+                            "generated kernel failed on elements {base}..{}: {e}",
+                            base + n
+                        )
+                    });
             }
-        }
-        std::thread::scope(|scope| {
-            for (&(lo, hi), mut bundle) in bounds.iter().zip(bundles) {
-                let run_cols = &run_cols;
-                scope.spawn(move || run_cols(&mut compiled.block_scratch(), lo, hi, &mut bundle));
-            }
-        });
-    }
-    LaunchStats {
-        threads: cols,
-        workers,
-        launches: 1,
-        allocs: 0,
-        elapsed: start.elapsed(),
-    }
-}
-
-/// Executes a generated machine-level kernel once per element, returning the
-/// outputs flat in element order (`output_count` words per element).
-///
-/// The kernel is compiled to register-allocated bytecode once, then the batch runs
-/// through [`launch_compiled`]: `fill(i, params)` writes element `i`'s parameter
-/// words into the provided slice. Callers that launch the same kernel repeatedly
-/// should compile once with [`CompiledKernel::compile`] and call
-/// [`launch_compiled`] directly.
-///
-/// # Panics
-///
-/// Panics if the kernel fails to compile or fails on any element (which would
-/// indicate an invalid generated kernel).
-pub fn launch_kernel<I>(kernel: &Kernel, n: usize, fill: I) -> (Vec<u64>, LaunchStats)
-where
-    I: Fn(usize, &mut [u64]) + Sync,
-{
-    let compiled = CompiledKernel::compile(kernel)
-        .unwrap_or_else(|e| panic!("generated kernel failed to compile: {e}"));
-    launch_compiled(&compiled, n, fill)
+        })
+    })
 }
 
 #[cfg(test)]
@@ -620,43 +344,59 @@ mod tests {
         let stats = launch_indexed(0, |_| panic!("must not run"));
         assert_eq!(stats.threads, 0);
         assert_eq!(stats.nanos_per_element(), 0.0);
-        let (out, stats) = launch_map(0, |_| -> u64 { panic!("must not run") });
-        assert!(out.is_empty());
-        assert_eq!(stats.threads, 0);
     }
 
     #[test]
-    fn map_collects_results_in_index_order() {
-        let (out, stats) = launch_map(10_000, |i| i * i);
-        assert_eq!(out.len(), 10_000);
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i * i));
-        assert_eq!(stats.threads, 10_000);
+    fn fork_join_runs_every_unit_once_at_any_span_count() {
+        for workers in [1, 2, 3, 7] {
+            for n in [0usize, 1, 5, 333, 4096] {
+                let len = span_len(n, workers);
+                let count = n.div_ceil(len);
+                assert!(count <= workers, "{n} units over {workers} workers");
+                let ctx = format!("n = {n}, {workers} workers");
+
+                // Index spans: every index exactly once; only the last span
+                // may be short.
+                let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let stats = fork_join(n, spans(n, len), |span| {
+                    assert!(
+                        span.len() == len || span.end == n,
+                        "{ctx}: ragged inner span"
+                    );
+                    for i in span {
+                        hits[i].fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+                assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1), "{ctx}");
+                assert_eq!(stats.threads, n);
+                assert_eq!(stats.workers, count.max(1), "{ctx}");
+
+                // `chunks_mut` parts: every slot written once, by its own span.
+                let mut out = vec![usize::MAX; n];
+                fork_join(n, out.chunks_mut(len).enumerate(), |(s, chunk)| {
+                    assert!(
+                        chunk.len() == len || s + 1 == count,
+                        "{ctx}: ragged inner chunk"
+                    );
+                    for (j, slot) in chunk.iter_mut().enumerate() {
+                        assert_eq!(*slot, usize::MAX, "{ctx}: slot written twice");
+                        *slot = s * len + j;
+                    }
+                });
+                assert!(out.iter().enumerate().all(|(i, &v)| v == i), "{ctx}");
+            }
+        }
     }
 
     #[test]
-    fn map_with_initializes_state_per_worker_not_per_element() {
-        let inits = AtomicUsize::new(0);
-        let (out, stats) = launch_map_with(
-            5000,
-            || {
-                inits.fetch_add(1, Ordering::Relaxed);
-                0usize
-            },
-            |count, i| {
-                // The state is a per-worker call counter bounded by the element
-                // count; the result stays dependent only on `i`.
-                *count += 1;
-                assert!(*count <= 5000);
-                i
-            },
-        );
-        assert!(out.iter().enumerate().all(|(i, &v)| v == i));
-        let created = inits.load(Ordering::Relaxed);
-        assert!(
-            created <= stats.workers,
-            "state must be per worker ({created} inits for {} workers)",
-            stats.workers
-        );
+    fn one_unit_launch_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let seen = std::sync::Mutex::new(Vec::new());
+        let record = || seen.lock().unwrap().push(std::thread::current().id());
+        let indexed = launch_indexed(1, |_| record());
+        let chunks = launch_chunks(&mut [0u64; 8], 8, |_, _| record());
+        assert_eq!(*seen.lock().unwrap(), [caller, caller]);
+        assert_eq!((indexed.workers, chunks.workers), (1, 1));
     }
 
     #[test]
@@ -708,12 +448,10 @@ mod tests {
                 carry_in: None,
             },
         );
-        let kernel = kb.build();
+        let compiled = CompiledKernel::compile(&kb.build()).unwrap();
 
-        let (outputs, stats) = launch_kernel(&kernel, 512, |i, params| {
-            params[0] = i as u64;
-            params[1] = 2 * i as u64;
-        });
+        let inputs: Vec<u64> = (0..512u64).flat_map(|i| [i, 2 * i]).collect();
+        let (outputs, stats) = launch_compiled_batch(&compiled, &inputs);
         assert_eq!(stats.threads, 512);
         assert_eq!(outputs.len(), 512);
         for (i, out) in outputs.iter().enumerate() {
@@ -750,48 +488,14 @@ mod tests {
             "one flat output buffer, nothing per element"
         );
         assert_eq!(batch_out.len(), n);
-        let (per_elt, stats) = launch_compiled(&compiled, n, |i, params| {
-            params[0] = i as u64 * 77;
-            params[1] = i as u64 * 131 + 5;
-        });
-        assert_eq!(stats.allocs, 1);
-        assert_eq!(per_elt, batch_out);
+        for (i, params) in flat.chunks_exact(2).enumerate() {
+            let per_elt = compiled.run(params).unwrap().outputs;
+            assert_eq!(per_elt, [batch_out[i]], "element {i}");
+        }
         let (empty, stats) = launch_compiled_batch(&compiled, &[]);
         assert!(empty.is_empty());
         assert_eq!(stats.threads, 0);
         assert_eq!(stats.allocs, 0);
-    }
-
-    #[test]
-    fn batch_into_writes_caller_buffer_without_allocating() {
-        let mut kb = KernelBuilder::new("double");
-        let a = kb.param("a", Ty::UInt(64));
-        let o = kb.output("o", Ty::UInt(64));
-        kb.push(
-            vec![o],
-            Op::MulLow {
-                a: a.into(),
-                b: moma_ir::Operand::Const(2),
-            },
-        );
-        let compiled = CompiledKernel::compile(&kb.build()).unwrap();
-        let inputs: Vec<u64> = (0..257).collect();
-        let mut out = vec![u64::MAX; 257];
-        let stats = launch_compiled_batch_into(&compiled, &inputs, &mut out);
-        assert_eq!(stats.threads, 257);
-        assert_eq!(stats.allocs, 0, "the caller owns the output buffer");
-        assert!(out.iter().enumerate().all(|(i, &v)| v == 2 * i as u64));
-    }
-
-    #[test]
-    #[should_panic(expected = "output length")]
-    fn batch_into_rejects_mismatched_output_length() {
-        let mut kb = KernelBuilder::new("copy");
-        let a = kb.param("a", Ty::UInt(64));
-        let o = kb.output("o", Ty::UInt(64));
-        kb.push(vec![o], Op::Copy { src: a.into() });
-        let compiled = CompiledKernel::compile(&kb.build()).unwrap();
-        launch_compiled_batch_into(&compiled, &[1, 2, 3], &mut [0u64; 2]);
     }
 
     #[test]
@@ -831,9 +535,8 @@ mod tests {
         assert_eq!(stats.threads, cols);
         assert_eq!(stats.launches, 1);
         assert_eq!(stats.allocs, 0, "rows launches write in place");
-        let (oracle, _) = launch_compiled(&compiled, cols, |i, params| {
-            params.copy_from_slice(&inputs[i]);
-        });
+        let flat: Vec<u64> = inputs.iter().flatten().copied().collect();
+        let (oracle, _) = launch_compiled_batch(&compiled, &flat);
         for i in 0..cols {
             assert_eq!(out[i], oracle[2 * i], "row 0 element {i}");
             assert_eq!(out[cols + i], oracle[2 * i + 1], "row 1 element {i}");
@@ -885,9 +588,8 @@ mod tests {
         let kernel = kb.build();
         let compiled = CompiledKernel::compile(&kernel).unwrap();
         let feed = |i: usize| [i as u64 * 77, i as u64 * 131 + 5, 2_147_483_647];
-        let (outputs, _) = launch_compiled(&compiled, 256, |i, params| {
-            params.copy_from_slice(&feed(i));
-        });
+        let flat: Vec<u64> = (0..256).flat_map(feed).collect();
+        let (outputs, _) = launch_compiled_batch(&compiled, &flat);
         for (i, out) in outputs.iter().enumerate() {
             let oracle = interp::run(&kernel, &feed(i)).unwrap();
             assert_eq!(oracle.outputs.len(), 1);

@@ -7,9 +7,10 @@
 //! * [`device`] — device models for the H100, RTX 4090, and V100 with the Table 2
 //!   specifications plus the public architectural figures the cost model needs;
 //! * [`launch`] — a data-parallel batch launcher that executes one virtual CUDA thread
-//!   per element on a host thread pool (used both for functional execution of generated
-//!   kernels through the `moma-ir` interpreter and for wall-clock measurements of the
-//!   runtime-library kernels);
+//!   per element on a host thread pool: four entry points (indexed, in-place chunks,
+//!   and flat-batch / row-scatter launches of compiled generated kernels) over one
+//!   fork-join executor, used both for functional execution and for wall-clock
+//!   measurements of the runtime-library kernels;
 //! * [`pool`] — a thread-safe buffer pool that hands out reusable plane-sized
 //!   `u64` (and `AtomicU64`) buffers keyed by size class, the host stand-in for a
 //!   device memory pool: steady-state serving acquires every working plane here
@@ -35,7 +36,6 @@ pub mod pool;
 pub use cost::{CostModel, KernelCostEstimate};
 pub use device::DeviceSpec;
 pub use launch::{
-    launch_chunks, launch_compiled, launch_compiled_batch, launch_compiled_batch_into,
-    launch_indexed, launch_kernel, launch_map, launch_map_with, LaunchStats,
+    launch_chunks, launch_compiled_batch, launch_compiled_rows, launch_indexed, LaunchStats,
 };
 pub use pool::{BufferPool, PoolStats};

@@ -6,37 +6,43 @@
 //! between stages (§5.1). This module reproduces that execution shape on the
 //! virtual-GPU launcher: every stage reads the plan's precomputed twiddles through
 //! the [`NttPlan64::stage`] / [`NttPlan::stage`] accessors and dispatches its
-//! butterflies through [`moma_gpu::launch_indexed`] / [`moma_gpu::launch_map`];
+//! butterflies through [`moma_gpu::launch_indexed`] / [`moma_gpu::launch_chunks`];
 //! the join at the end of each launch is the stage barrier.
 //!
 //! Two execution strategies, chosen by element width:
 //!
-//! * **Single word** ([`NttPlan64`]): the data lives in a `Vec<AtomicU64>` for the
-//!   duration of the transform. Within one stage every butterfly reads and writes
-//!   only its own pair of slots, so relaxed atomics are just the safe-Rust spelling
-//!   of CUDA's disjoint global-memory accesses, and the transform stays genuinely
-//!   in place. Butterflies use the same Shoup multiplication and `[0, 4q)` lazy
+//! * **Single word** ([`NttPlan64`]): the data lives in an atomic working plane
+//!   (`[AtomicU64]`, acquired from the caller's [`BufferPool`]) for the duration
+//!   of the transform. Within one stage every butterfly reads and writes only its
+//!   own pair of slots, so relaxed atomics are just the safe-Rust spelling of
+//!   CUDA's disjoint global-memory accesses, and the transform stays genuinely in
+//!   place. Butterflies use the same Shoup multiplication and `[0, 4q)` lazy
 //!   reduction as the inline path; one final element-parallel pass normalizes.
-//! * **Multi word** ([`NttPlan`]): each stage is a [`moma_gpu::launch_map`] that
-//!   returns the `n/2` butterfly output pairs (one ring multiplication each), which
-//!   are then scattered back — the double-buffered formulation, since `MpUint`
-//!   values cannot be updated atomically.
+//! * **Multi word** ([`NttPlan`]): each stage is a [`moma_gpu::launch_chunks`]
+//!   launch in which butterfly `t` writes its output pair (one ring
+//!   multiplication each) into slot `t` of a pre-sized pair plane, scattered back
+//!   between stages — the double-buffered formulation, since `MpUint` values
+//!   cannot be updated atomically.
 //!
-//! **Batched transforms** ([`NttPlan64::forward_batch_on_launcher`]) run many
-//! same-size transforms through *one* launch per stage with grid = batch × n/2 —
-//! the paper's batched NTT shape. The per-stage barrier is thereby amortized over
-//! the whole batch: the launch count of a batched transform is `log2 n + 1`
-//! regardless of the batch size (see [`moma_gpu::LaunchStats::launches`]), where
-//! launching the transforms one by one pays `batch × (log2 n + 1)`.
+//! [`NttPlan64`] has exactly two launcher entry points,
+//! [`NttPlan64::forward_batch_on_launcher_pooled`] and
+//! [`NttPlan64::inverse_batch_on_launcher_pooled`]. Both run many same-size
+//! transforms through *one* launch per stage with grid = batch × n/2 — the
+//! paper's batched NTT; a single transform is a batch of one. The per-stage
+//! barrier is thereby amortized over the whole batch: the launch count of a
+//! batched transform is `log2 n + 1` regardless of the batch size (see
+//! [`moma_gpu::LaunchStats::launches`]), where launching the transforms one by
+//! one pays `batch × (log2 n + 1)`. Callers without a pool of their own pass a
+//! fresh [`BufferPool`], whose one miss is the plane the transform allocated.
 //!
 //! On a many-core host the stage launches spread the butterflies across workers;
-//! on the single-vCPU CI container they degrade to the inline loop plus launch
+//! on a single-vCPU host they degrade to the inline loop plus launch
 //! bookkeeping, which is exactly the overhead `reproduce bench` records as the
 //! `ntt_launcher` entry.
 
 use crate::plan::{NttPlan, NttPlan64};
 use crate::transform::bit_reverse_permute;
-use moma_gpu::launch::{launch_chunks, launch_indexed, launch_map, LaunchStats};
+use moma_gpu::launch::{launch_chunks, launch_indexed, LaunchStats};
 use moma_gpu::pool::BufferPool;
 use moma_mp::MpUint;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -50,39 +56,6 @@ fn butterfly_base(t: usize, m: usize) -> usize {
 }
 
 impl NttPlan64 {
-    /// In-place forward transform with every stage dispatched through
-    /// [`launch_indexed`], one virtual thread per butterfly. Inputs must be
-    /// reduced (`< q`); outputs are reduced. Returns the accumulated launch
-    /// statistics of all stages plus the final normalize pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.n`.
-    pub fn forward_on_launcher(&self, data: &mut [u64]) -> LaunchStats {
-        assert_eq!(
-            data.len(),
-            self.n,
-            "data length must equal the transform size"
-        );
-        self.forward_batch_on_launcher(data)
-    }
-
-    /// In-place inverse transform (with `1/n` scaling) with every stage
-    /// dispatched through [`launch_indexed`]. Inputs must be reduced; outputs are
-    /// reduced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != self.n`.
-    pub fn inverse_on_launcher(&self, data: &mut [u64]) -> LaunchStats {
-        assert_eq!(
-            data.len(),
-            self.n,
-            "data length must equal the transform size"
-        );
-        self.inverse_batch_on_launcher(data)
-    }
-
     /// Forward-transforms a whole batch of `data.len() / n` transforms in place,
     /// with each butterfly stage of **all** transforms dispatched as one launch
     /// (grid = batch × n/2, one virtual thread per butterfly) — the paper's
@@ -90,24 +63,17 @@ impl NttPlan64 {
     /// per transform: the returned statistics report `log2 n + 1` launches
     /// however large the batch is.
     ///
+    /// The atomic working plane is acquired from (and returned to) `pool`, and
+    /// the returned statistics count pool *misses* in the window as
+    /// allocations, so a warm pool reports `allocs == 0`. The normalize pass
+    /// writes `data` in place through [`launch_chunks`] (chunk length 1, so the
+    /// thread count still equals the element count).
+    ///
     /// Inputs must be reduced (`< q`); outputs are reduced.
     ///
     /// # Panics
     ///
     /// Panics if `data.len()` is not a non-zero multiple of `self.n`.
-    pub fn forward_batch_on_launcher(&self, data: &mut [u64]) -> LaunchStats {
-        let cells: Vec<AtomicU64> = std::iter::repeat_with(AtomicU64::default)
-            .take(data.len())
-            .collect();
-        let mut stats = self.forward_batch_in(data, &cells);
-        stats.allocs += usize::from(!data.is_empty());
-        stats
-    }
-
-    /// [`NttPlan64::forward_batch_on_launcher`] with the atomic working plane
-    /// acquired from (and returned to) `pool` instead of the allocator. The
-    /// returned statistics count pool *misses* in the window as allocations, so
-    /// a warm pool reports `allocs == 0`.
     pub fn forward_batch_on_launcher_pooled(
         &self,
         data: &mut [u64],
@@ -115,50 +81,7 @@ impl NttPlan64 {
     ) -> LaunchStats {
         let before = pool.misses();
         let cells = pool.acquire_cells(data.len());
-        let mut stats = self.forward_batch_in(data, &cells);
-        pool.recycle_cells(cells);
-        stats.allocs += (pool.misses() - before) as usize;
-        stats
-    }
-
-    /// Inverse-transforms a whole batch of `data.len() / n` transforms in place
-    /// (with `1/n` scaling), one launch per butterfly stage across the whole
-    /// batch. Inputs must be reduced; outputs are reduced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len()` is not a non-zero multiple of `self.n`.
-    pub fn inverse_batch_on_launcher(&self, data: &mut [u64]) -> LaunchStats {
-        let cells: Vec<AtomicU64> = std::iter::repeat_with(AtomicU64::default)
-            .take(data.len())
-            .collect();
-        let mut stats = self.inverse_batch_in(data, &cells);
-        stats.allocs += usize::from(!data.is_empty());
-        stats
-    }
-
-    /// [`NttPlan64::inverse_batch_on_launcher`] with the atomic working plane
-    /// acquired from (and returned to) `pool`; `allocs` reports the pool-miss
-    /// delta of the window.
-    pub fn inverse_batch_on_launcher_pooled(
-        &self,
-        data: &mut [u64],
-        pool: &BufferPool,
-    ) -> LaunchStats {
-        let before = pool.misses();
-        let cells = pool.acquire_cells(data.len());
-        let mut stats = self.inverse_batch_in(data, &cells);
-        pool.recycle_cells(cells);
-        stats.allocs += (pool.misses() - before) as usize;
-        stats
-    }
-
-    /// Stages plus the normalize pass, on a caller-provided working plane. The
-    /// normalize pass writes `data` in place through [`launch_chunks`] (chunk
-    /// length 1, so the thread count still equals the element count): no output
-    /// plane is allocated.
-    fn forward_batch_in(&self, data: &mut [u64], cells: &[AtomicU64]) -> LaunchStats {
-        let mut stats = self.run_stages_batched(data, true, cells);
+        let mut stats = self.run_stages_batched(data, true, &cells);
         let q = self.ctx.q;
         let two_q = self.two_q();
         let pass = launch_chunks(data, 1, |i, out| {
@@ -172,13 +95,30 @@ impl NttPlan64 {
             out[0] = v;
         });
         stats.accumulate(pass);
+        pool.recycle_cells(cells);
+        stats.allocs += (pool.misses() - before) as usize;
         stats
     }
 
-    /// Stages plus the scaling pass (which doubles as the normalize pass, as in
-    /// the inline plan), on a caller-provided working plane.
-    fn inverse_batch_in(&self, data: &mut [u64], cells: &[AtomicU64]) -> LaunchStats {
-        let mut stats = self.run_stages_batched(data, false, cells);
+    /// Inverse-transforms a whole batch of `data.len() / n` transforms in place
+    /// (with `1/n` scaling), one launch per butterfly stage across the whole
+    /// batch; the scaling pass doubles as the normalize pass, as in the inline
+    /// plan. The working plane comes from `pool` and `allocs` reports the
+    /// pool-miss delta of the window, as in
+    /// [`NttPlan64::forward_batch_on_launcher_pooled`]. Inputs must be reduced;
+    /// outputs are reduced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` is not a non-zero multiple of `self.n`.
+    pub fn inverse_batch_on_launcher_pooled(
+        &self,
+        data: &mut [u64],
+        pool: &BufferPool,
+    ) -> LaunchStats {
+        let before = pool.misses();
+        let cells = pool.acquire_cells(data.len());
+        let mut stats = self.run_stages_batched(data, false, &cells);
         let q = self.ctx.q;
         let pass = if let Some(tw) = self.twist() {
             // Negacyclic: the per-index ψ^{-i}·n^{-1} factor unfolds the twist
@@ -205,6 +145,8 @@ impl NttPlan64 {
             })
         };
         stats.accumulate(pass);
+        pool.recycle_cells(cells);
+        stats.allocs += (pool.misses() - before) as usize;
         stats
     }
 
@@ -305,8 +247,8 @@ impl NttPlan64 {
 }
 
 impl<const L: usize> NttPlan<L> {
-    /// Forward transform with every stage dispatched through [`launch_map`], one
-    /// virtual thread per butterfly (each producing its output pair, scattered
+    /// Forward transform with every stage dispatched through [`launch_chunks`],
+    /// one virtual thread per butterfly (each writing its output pair, scattered
     /// back between stages).
     ///
     /// # Panics
@@ -317,7 +259,7 @@ impl<const L: usize> NttPlan<L> {
     }
 
     /// Inverse transform (with `1/n` scaling) with every stage dispatched through
-    /// [`launch_map`].
+    /// [`launch_chunks`]; the scaling pass runs in place, one thread per element.
     ///
     /// # Panics
     ///
@@ -325,12 +267,14 @@ impl<const L: usize> NttPlan<L> {
     pub fn inverse_on_launcher(&self, data: &mut [MpUint<L>]) -> LaunchStats {
         let mut stats = self.run_stages_on_launcher(data, false);
         let n_inv = self.n_inv();
-        let (scaled, pass) = launch_map(self.n, |i| self.ring.mul(data[i], n_inv));
-        stats.accumulate(pass);
-        data.copy_from_slice(&scaled);
+        stats.accumulate(launch_chunks(data, 1, |_, x| {
+            x[0] = self.ring.mul(x[0], n_inv);
+        }));
         stats
     }
 
+    /// Runs the butterfly stages, one launch each, through a pair plane
+    /// allocated once per transform (reported as the one allocation).
     fn run_stages_on_launcher(&self, data: &mut [MpUint<L>], forward: bool) -> LaunchStats {
         assert_eq!(
             data.len(),
@@ -339,14 +283,16 @@ impl<const L: usize> NttPlan<L> {
         );
         bit_reverse_permute(data);
         let mut stats = LaunchStats::default();
+        let mut pairs = vec![(MpUint::ZERO, MpUint::ZERO); self.n / 2];
+        stats.allocs = 1;
         let mut m = 1;
         while m < self.n {
             let twiddles = self.stage(forward, m);
-            let (pairs, stage) = launch_map(self.n / 2, |t| {
+            let stage = launch_chunks(&mut pairs, 1, |t, pair| {
                 let i = butterfly_base(t, m);
                 let x = data[i];
                 let wy = self.ring.mul(twiddles[t & (m - 1)], data[i + m]);
-                (self.ring.add(x, wy), self.ring.sub(x, wy))
+                pair[0] = (self.ring.add(x, wy), self.ring.sub(x, wy));
             });
             stats.accumulate(stage);
             for (t, &(hi, lo)) in pairs.iter().enumerate() {
@@ -365,6 +311,7 @@ mod tests {
     use super::*;
     use crate::params::NttParams;
     use crate::transform::butterfly_count;
+    use moma_gpu::BufferPool;
     use moma_mp::MulAlgorithm;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -391,12 +338,13 @@ mod tests {
         let mut inline = data.clone();
         let mut launched = data.clone();
         plan.forward(&mut inline);
-        let stats = plan.forward_on_launcher(&mut launched);
+        let pool = BufferPool::new();
+        let stats = plan.forward_batch_on_launcher_pooled(&mut launched, &pool);
         assert_eq!(launched, inline, "forward must match the inline plan");
         // (n/2)·log2 n butterflies plus the n-element normalize pass.
         assert_eq!(stats.threads as u64, butterfly_count(256) + 256);
         plan.inverse(&mut inline);
-        plan.inverse_on_launcher(&mut launched);
+        plan.inverse_batch_on_launcher_pooled(&mut launched, &pool);
         assert_eq!(launched, inline, "inverse must match the inline plan");
         assert_eq!(launched, data, "inverse ∘ forward must be the identity");
     }
@@ -406,9 +354,10 @@ mod tests {
         let plan = NttPlan64::new(128);
         let mut rng = StdRng::seed_from_u64(92);
         let mut data: Vec<u64> = (0..128).map(|_| rng.gen::<u64>() % plan.ctx.q).collect();
-        plan.forward_on_launcher(&mut data);
+        let pool = BufferPool::new();
+        plan.forward_batch_on_launcher_pooled(&mut data, &pool);
         assert!(data.iter().all(|&x| x < plan.ctx.q));
-        plan.inverse_on_launcher(&mut data);
+        plan.inverse_batch_on_launcher_pooled(&mut data, &pool);
         assert!(data.iter().all(|&x| x < plan.ctx.q));
     }
 
@@ -421,8 +370,9 @@ mod tests {
         let data: Vec<u64> = (0..batch * n)
             .map(|_| rng.gen::<u64>() % plan.ctx.q)
             .collect();
+        let pool = BufferPool::new();
         let mut batched = data.clone();
-        let stats = plan.forward_batch_on_launcher(&mut batched);
+        let stats = plan.forward_batch_on_launcher_pooled(&mut batched, &pool);
         // One launch per stage plus the normalize pass, independent of batch.
         assert_eq!(stats.launches, n.trailing_zeros() as usize + 1);
         assert_eq!(
@@ -432,11 +382,13 @@ mod tests {
         let mut single = data.clone();
         let mut single_launches = 0;
         for transform in single.chunks_exact_mut(n) {
-            single_launches += plan.forward_on_launcher(transform).launches;
+            single_launches += plan
+                .forward_batch_on_launcher_pooled(transform, &pool)
+                .launches;
         }
         assert_eq!(batched, single, "batched forward must match per-transform");
         assert_eq!(single_launches, batch * (n.trailing_zeros() as usize + 1));
-        let inv_stats = plan.inverse_batch_on_launcher(&mut batched);
+        let inv_stats = plan.inverse_batch_on_launcher_pooled(&mut batched, &pool);
         assert_eq!(inv_stats.launches, n.trailing_zeros() as usize + 1);
         assert_eq!(
             batched, data,
@@ -472,8 +424,9 @@ mod tests {
         let data: Vec<u64> = (0..batch * n)
             .map(|_| rng.gen::<u64>() % plan.ctx.q)
             .collect();
+        let pool = BufferPool::new();
         let mut launched = data.clone();
-        let stats = plan.forward_batch_on_launcher(&mut launched);
+        let stats = plan.forward_batch_on_launcher_pooled(&mut launched, &pool);
         // The folded twist stage replaces the plain stage 1: still one launch
         // per stage plus the normalize pass.
         assert_eq!(stats.launches, n.trailing_zeros() as usize + 1);
@@ -482,7 +435,7 @@ mod tests {
             plan.forward(transform);
         }
         assert_eq!(launched, inline, "negacyclic forward must match inline");
-        let inv_stats = plan.inverse_batch_on_launcher(&mut launched);
+        let inv_stats = plan.inverse_batch_on_launcher_pooled(&mut launched, &pool);
         assert_eq!(inv_stats.launches, n.trailing_zeros() as usize + 1);
         assert_eq!(
             launched, data,
@@ -495,7 +448,7 @@ mod tests {
     fn launcher_wrong_length_panics() {
         let plan = NttPlan64::new(64);
         let mut data = vec![0u64; 32];
-        plan.forward_on_launcher(&mut data);
+        plan.forward_batch_on_launcher_pooled(&mut data, &BufferPool::new());
     }
 
     #[test]
@@ -503,35 +456,31 @@ mod tests {
     fn batched_launcher_rejects_ragged_batches() {
         let plan = NttPlan64::new(64);
         let mut data = vec![0u64; 96];
-        plan.forward_batch_on_launcher(&mut data);
+        plan.forward_batch_on_launcher_pooled(&mut data, &BufferPool::new());
     }
 
     #[test]
-    fn unpooled_batch_reports_one_plane_allocation() {
-        let plan = NttPlan64::new(64);
-        let mut data = vec![1u64; 128];
-        assert_eq!(plan.forward_batch_on_launcher(&mut data).allocs, 1);
-        assert_eq!(plan.inverse_batch_on_launcher(&mut data).allocs, 1);
-    }
-
-    #[test]
-    fn pooled_batch_matches_unpooled_and_is_allocation_free_when_warm() {
+    fn pooled_batch_matches_inline_and_is_allocation_free_when_warm() {
         let plan = NttPlan64::new(128);
-        let pool = moma_gpu::BufferPool::new();
+        let pool = BufferPool::new();
         let mut rng = StdRng::seed_from_u64(95);
         let data: Vec<u64> = (0..3 * 128)
             .map(|_| rng.gen::<u64>() % plan.ctx.q)
             .collect();
         let mut plain = data.clone();
         let mut pooled = data.clone();
-        plan.forward_batch_on_launcher(&mut plain);
+        for transform in plain.chunks_exact_mut(128) {
+            plan.forward(transform);
+        }
         // Cold pool: the first acquire misses, and the miss is the alloc count.
         let cold = plan.forward_batch_on_launcher_pooled(&mut pooled, &pool);
-        assert_eq!(pooled, plain, "pooled forward must match the heap path");
+        assert_eq!(pooled, plain, "pooled forward must match the inline plan");
         assert_eq!(cold.allocs, 1, "a cold pool allocates the plane once");
-        plan.inverse_batch_on_launcher(&mut plain);
+        for transform in plain.chunks_exact_mut(128) {
+            plan.inverse(transform);
+        }
         let warm = plan.inverse_batch_on_launcher_pooled(&mut pooled, &pool);
-        assert_eq!(pooled, plain, "pooled inverse must match the heap path");
+        assert_eq!(pooled, plain, "pooled inverse must match the inline plan");
         assert_eq!(
             warm.allocs, 0,
             "a warm pool serves the plane without allocating"

@@ -15,7 +15,7 @@
 //!   single-word path — the hot-path entry points for repeated transforms;
 //! * [`launcher`] — stage-level batched execution of the plans on the simulated
 //!   GPU launcher: each stage dispatches one virtual thread per butterfly through
-//!   `moma_gpu::launch_indexed`/`launch_map`, the paper's §5.1 execution shape;
+//!   `moma_gpu::launch_indexed`/`launch_chunks`, the paper's §5.1 execution shape;
 //! * [`mod@reference`] — the `O(n^2)` direct DFT used as a correctness oracle;
 //! * [`polymul`] — NTT-based polynomial multiplication (the application motivating the
 //!   kernel in FHE/ZKP workloads).

@@ -2,6 +2,7 @@
 //! sizes, dispatching each stage through the virtual-GPU launcher (one thread per
 //! butterfly) must compute exactly what the inline plan loops compute.
 
+use moma_gpu::BufferPool;
 use moma_mp::MulAlgorithm;
 use moma_ntt::params::NttParams;
 use moma_ntt::plan::{NttPlan, NttPlan64};
@@ -24,12 +25,13 @@ proptest! {
         let mut inline = data.clone();
         let mut launched = data.clone();
         plan.forward(&mut inline);
-        let stats = plan.forward_on_launcher(&mut launched);
+        let pool = BufferPool::new();
+        let stats = plan.forward_batch_on_launcher_pooled(&mut launched, &pool);
         prop_assert_eq!(&launched, &inline, "forward");
         prop_assert!(launched.iter().all(|&x| x < plan.ctx.q), "reduced");
         prop_assert_eq!(stats.threads as u64, butterfly_count(n) + n as u64);
         plan.inverse(&mut inline);
-        plan.inverse_on_launcher(&mut launched);
+        plan.inverse_batch_on_launcher_pooled(&mut launched, &pool);
         prop_assert_eq!(&launched, &inline, "inverse");
         prop_assert_eq!(launched, data, "identity");
     }
