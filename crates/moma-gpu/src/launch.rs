@@ -22,12 +22,13 @@
 //!
 //! Each entry point carves its work into disjoint spans and hands them to one
 //! private executor, `fork_join`: a single span runs on the calling thread, several
-//! spans run in one `std::thread::scope`. Compiled launches take their scratch
-//! frames from a thread-local, so the steady state allocates none. The tree
+//! spans run in one `std::thread::scope`. Both compiled launches run through the
+//! lane-blocked executor ([`CompiledKernel::run_lanes`]) and take their frame
+//! from one thread-local, so the steady state allocates none. The tree
 //! interpreter (`moma_ir::interp`) is the correctness oracle the compiled launches
 //! are tested against.
 
-use moma_ir::compiled::{BlockScratch, CompiledKernel, Scratch, LANE_BLOCK};
+use moma_ir::compiled::{BlockScratch, CompiledKernel, LANE_BLOCK};
 use std::cell::RefCell;
 use std::ops::Range;
 use std::time::{Duration, Instant};
@@ -49,9 +50,9 @@ pub struct LaunchStats {
     /// [`launch_chunks`], [`launch_compiled_rows`]) report `0` — the caller
     /// owns the output — and ops that route their planes through a
     /// [`crate::pool::BufferPool`] report the pool-miss delta, so a warm
-    /// steady state reports `0` end to end. Scratch frames are O(registers),
-    /// not plane-sized, and are excluded (each host thread reuses one
-    /// thread-local frame).
+    /// steady state reports `0` end to end. Execution frames are
+    /// O(registers × [`LANE_BLOCK`]) words, not plane-sized, and are excluded
+    /// (each host thread reuses one thread-local frame).
     pub allocs: usize,
     /// Wall-clock time of the launch.
     pub elapsed: Duration,
@@ -103,14 +104,13 @@ fn worker_count() -> usize {
 }
 
 thread_local! {
-    /// Reusable per-thread scratch frames for the compiled launches. Scratch
-    /// frames self-retag when they move between kernels, so one frame per
+    /// The reusable per-thread frame of both compiled launches. A frame
+    /// reloads its constants when it moves between kernels, so one frame per
     /// thread serves every kernel that thread ever launches — the calling
-    /// thread's steady state allocates no scratch at all. Scoped worker
-    /// threads are born fresh per launch and build one frame each; that frame
-    /// is O(registers), not plane-sized, and is excluded from
-    /// [`LaunchStats::allocs`].
-    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+    /// thread's steady state allocates no frame at all. Scoped worker threads
+    /// are born fresh per launch and build one frame each; that frame is
+    /// O(registers × [`LANE_BLOCK`]) words, not plane-sized, and is excluded
+    /// from [`LaunchStats::allocs`].
     static BLOCK_SCRATCH: RefCell<BlockScratch> = RefCell::new(BlockScratch::default());
 }
 
@@ -205,10 +205,11 @@ where
 /// `inputs[i * param_count .. (i + 1) * param_count]`, and the outputs are
 /// returned flat in the same element order (`output_count` words per element).
 ///
-/// Contiguous element spans are split across the host workers; each worker
-/// reuses one scratch frame and writes its slice of the flat output directly —
-/// no per-element input `Vec`, no per-element output allocation, no closure
-/// dispatch. The flat output is the launch's one allocation.
+/// Contiguous element spans are split across the host workers; each worker runs
+/// its span through [`CompiledKernel::run_into`] — lane blocks of up to
+/// [`LANE_BLOCK`] elements on the thread's one frame — and writes its slice of
+/// the flat output directly, with no per-element input `Vec` and no per-element
+/// output allocation. The flat output is the launch's one allocation.
 ///
 /// # Panics
 ///
@@ -231,18 +232,14 @@ pub fn launch_compiled_batch(compiled: &CompiledKernel, inputs: &[u64]) -> (Vec<
     let len = span_len(n, worker_count());
     let parts = out.chunks_mut((len * oc).max(1)).zip(spans(n, len));
     let mut stats = fork_join(n, parts, |(rows, span)| {
-        SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let lo = span.start;
-            for i in span {
-                compiled
-                    .run_into(
-                        &inputs[i * p..(i + 1) * p],
-                        scratch,
-                        &mut rows[(i - lo) * oc..(i - lo + 1) * oc],
-                    )
-                    .unwrap_or_else(|e| panic!("generated kernel failed on element {i}: {e}"));
-            }
+        BLOCK_SCRATCH.with(|cell| {
+            compiled
+                .run_into(
+                    &inputs[span.start * p..span.end * p],
+                    &mut cell.borrow_mut(),
+                    rows,
+                )
+                .unwrap_or_else(|e| panic!("generated kernel failed on elements {span:?}: {e}"));
         })
     });
     stats.allocs = usize::from(n > 0);
@@ -475,7 +472,8 @@ mod tests {
                 mbits: 31,
             },
         );
-        let compiled = CompiledKernel::compile(&kb.build()).unwrap();
+        let kernel = kb.build();
+        let compiled = CompiledKernel::compile(&kernel).unwrap();
         let n = 333; // deliberately not a multiple of any worker count
         let flat: Vec<u64> = (0..n)
             .flat_map(|i| [i as u64 * 77, i as u64 * 131 + 5])
@@ -489,7 +487,7 @@ mod tests {
         );
         assert_eq!(batch_out.len(), n);
         for (i, params) in flat.chunks_exact(2).enumerate() {
-            let per_elt = compiled.run(params).unwrap().outputs;
+            let per_elt = interp::run(&kernel, params).unwrap().outputs;
             assert_eq!(per_elt, [batch_out[i]], "element {i}");
         }
         let (empty, stats) = launch_compiled_batch(&compiled, &[]);
@@ -556,6 +554,45 @@ mod tests {
         kb.push(vec![o], Op::Copy { src: a.into() });
         let compiled = CompiledKernel::compile(&kb.build()).unwrap();
         launch_compiled_rows(&compiled, &mut [0u64; 5], 4, |_, _, _| {});
+    }
+
+    #[test]
+    fn both_compiled_launches_share_one_thread_local_frame() {
+        // `times3` and `times5` have the same register layout and differ only
+        // in their constant: a frame that kept the other kernel's constant
+        // would show up as a wrong multiple. One-element launches run on the
+        // calling thread, so they hand its one frame back and forth; the
+        // larger ones cross lane blocks on every worker.
+        let build = |name: &str, k: u64| {
+            let mut kb = KernelBuilder::new(name);
+            let a = kb.param("a", Ty::UInt(64));
+            let o = kb.output("o", Ty::UInt(64));
+            kb.push(
+                vec![o],
+                Op::MulLow {
+                    a: a.into(),
+                    b: moma_ir::Operand::Const(k),
+                },
+            );
+            CompiledKernel::compile(&kb.build()).unwrap()
+        };
+        let (k3, k5) = (build("times3", 3), build("times5", 5));
+        for n in [1, 2 * LANE_BLOCK + 3] {
+            let xs: Vec<u64> = (0..n as u64).map(|i| i + 10).collect();
+            for k in [3, 5, 3] {
+                let out = if k == 3 {
+                    launch_compiled_batch(&k3, &xs).0
+                } else {
+                    let mut out = vec![0; n];
+                    launch_compiled_rows(&k5, &mut out, n, |_, lo, lanes| {
+                        lanes.copy_from_slice(&xs[lo..lo + lanes.len()]);
+                    });
+                    out
+                };
+                let want: Vec<u64> = xs.iter().map(|x| x * k).collect();
+                assert_eq!(out, want, "times{k} over {n} elements");
+            }
+        }
     }
 
     #[test]

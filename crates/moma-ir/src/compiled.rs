@@ -10,29 +10,35 @@
 //!
 //! * **Register allocation** — variables are linear-scan-allocated into dense `u64`
 //!   slots; a slot is recycled as soon as the last read of its variable has
-//!   executed, so the scratch frame is much smaller than the variable count and is
-//!   reused across batch elements with zero per-element allocation.
-//! * **Static checking** — width limits and use-before-def are verified once at
-//!   compile time (straight-line code makes the check exact), so the execution loop
-//!   has no error paths.
+//!   executed, so the frame is much smaller than the variable count and is reused
+//!   across blocks with zero per-element allocation.
+//! * **Static checking** — width limits, use-before-def and the worst-case
+//!   accumulator bound of every `MacReduceMod` are verified once at compile time
+//!   (straight-line code makes the check exact), so the execution loop has no
+//!   error paths.
 //! * **Precomputed masks and counts** — destination masks are baked into each
 //!   bytecode op, and the per-element [`OpCounts`] is computed once (statement
 //!   counts are exact execution counts for straight-line kernels).
 //!
-//! The interpreter remains the semantic reference: `CompiledKernel::run` is
-//! observationally identical to [`interp::run`](crate::interp::run), and the test
-//! suites cross-check the two on every kernel the rewrite system produces.
+//! There is one execution loop: every entry point runs elements in lock-step lanes
+//! of up to [`LANE_BLOCK`], one instruction dispatch per block
+//! ([`CompiledKernel::run_lanes`]). The interpreter remains the semantic reference:
+//! `CompiledKernel::run` is observationally identical to
+//! [`interp::run`](crate::interp::run), and the test suites cross-check the two on
+//! every kernel the rewrite system produces.
 
 use crate::cost::{static_counts, OpCounts};
 use crate::interp::{InterpError, RunResult};
+use crate::validate::accumulator_fits;
 use crate::{Kernel, Op, Operand, VarId};
 
 /// A bytecode operand: a register slot index.
 ///
 /// There are no immediate operands at execution time — compile-time constants are
-/// materialized into dedicated registers that [`CompiledKernel::run_with`] preloads
-/// before the body runs. That keeps every instruction small (better bytecode cache
-/// density) and every operand read a single indexed load.
+/// materialized into dedicated registers, broadcast across their lanes when a
+/// [`BlockScratch`] frame is first used for the kernel. That keeps every
+/// instruction small (better bytecode cache density) and every operand read a
+/// single indexed load.
 type Src = u32;
 
 /// A bytecode destination: a register slot plus the write mask of its type width.
@@ -165,32 +171,18 @@ struct MacReduceOp {
 /// 8 bytes) stays cache-resident while still amortizing instruction dispatch.
 pub const LANE_BLOCK: usize = 128;
 
-/// Reusable lane-block execution state for [`CompiledKernel::run_lanes`]: a
-/// register frame holding [`LANE_BLOCK`] lanes per register (lane-major per
-/// register, so each register's lanes are one contiguous run), plus the
-/// multi-word shift staging buffer. Create one per worker with
-/// [`CompiledKernel::block_scratch`] and reuse it across blocks.
+/// Reusable execution state, the one frame type of every entry point: a register
+/// frame holding [`LANE_BLOCK`] lanes per register (lane-major per register, so
+/// each register's lanes are one contiguous run), plus the multi-word shift
+/// staging buffer. Create one per worker with [`CompiledKernel::block_scratch`]
+/// (or start from `Default`) and reuse it across blocks and kernels.
 #[derive(Debug, Clone, Default)]
 pub struct BlockScratch {
     regs: Vec<u64>,
     shr: Vec<u64>,
-    /// Id of the kernel whose constants currently occupy the frame (`0` = none),
-    /// exactly as the per-element [`Scratch`] frame's tag.
-    tag: u64,
-}
-
-/// Reusable per-worker execution state: the register frame plus the multi-word
-/// shift staging buffer. Create one per thread with [`CompiledKernel::scratch`] and
-/// pass it to every [`CompiledKernel::run_with`] call to amortize the allocation
-/// across a whole batch.
-#[derive(Debug, Clone, Default)]
-pub struct Scratch {
-    regs: Vec<u64>,
-    shr: Vec<u64>,
     /// Id of the kernel whose constants currently occupy the frame's constant
-    /// registers (`0` = none). Lets [`CompiledKernel::run_with`] skip the
-    /// per-element constant preload when the same kernel reuses the frame, which
-    /// matters for constant-heavy fused kernels run over large batches.
+    /// registers (`0` = none). Lets the same kernel skip the resize-and-broadcast
+    /// on every block after the first; a frame moving to another kernel reloads.
     tag: u64,
 }
 
@@ -218,7 +210,7 @@ pub struct Scratch {
 pub struct CompiledKernel {
     name: String,
     /// Process-unique id (clones share it — they carry identical constants), used
-    /// to recognize a [`Scratch`] frame whose constant registers are already
+    /// to recognize a [`BlockScratch`] frame whose constant registers are already
     /// loaded for this kernel.
     id: u64,
     code: Vec<Code>,
@@ -242,9 +234,11 @@ impl CompiledKernel {
     /// # Errors
     ///
     /// Returns [`InterpError::UnsupportedWidth`] if any variable is wider than 64
-    /// bits and [`InterpError::UseBeforeDef`] if a variable is read (or an output
-    /// left) before assignment — exactly the conditions under which the interpreter
-    /// would fail at runtime.
+    /// bits, [`InterpError::UseBeforeDef`] if a variable is read (or an output
+    /// left) before assignment, and [`InterpError::AccumulatorOverflow`] if a
+    /// `MacReduceMod`'s worst-case sum of products does not fit its `u128`
+    /// accumulator — exactly the conditions under which the interpreter would fail
+    /// at runtime.
     pub fn compile(kernel: &Kernel) -> Result<Self, InterpError> {
         for v in &kernel.vars {
             if v.ty.bits() > 64 {
@@ -379,6 +373,11 @@ impl CompiledKernel {
                     q: src(*q),
                 },
                 Op::MacReduceMod { pairs, q, .. } => {
+                    if !accumulator_fits(kernel, pairs) {
+                        return Err(InterpError::AccumulatorOverflow {
+                            var: kernel.var(stmt.dsts[0]).name.clone(),
+                        });
+                    }
                     // Re-derive the reduction constants from the modulus rather
                     // than trusting the kernel's copies: execution stays exact
                     // (`== Σaᵢbᵢ mod q`) even for kernels that never went through
@@ -447,129 +446,84 @@ impl CompiledKernel {
         &self.counts
     }
 
-    /// Creates an execution scratch frame sized for this kernel, with the
-    /// materialized constants already loaded.
-    pub fn scratch(&self) -> Scratch {
-        let mut regs = vec![0; self.n_regs];
-        regs[self.const_base..self.n_regs].copy_from_slice(&self.const_values);
-        Scratch {
-            regs,
-            shr: Vec::new(),
-            tag: self.id,
-        }
-    }
-
-    /// Executes the kernel once, reusing `scratch` and appending the outputs to
-    /// `out`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterpError::ArgumentCount`] or [`InterpError::InputTooWide`] on
-    /// bad inputs (all other failure modes were ruled out at compile time).
-    pub fn run_with(
-        &self,
-        inputs: &[u64],
-        scratch: &mut Scratch,
-        out: &mut Vec<u64>,
-    ) -> Result<(), InterpError> {
-        if inputs.len() != self.params.len() {
-            return Err(InterpError::ArgumentCount {
-                expected: self.params.len(),
-                got: inputs.len(),
-            });
-        }
-        // Constant registers are never written by the body, so a frame tagged
-        // with this kernel's id still holds them from the previous element; only
-        // a frame carried over from another kernel (or a default one) needs the
-        // resize-and-preload.
-        if scratch.tag != self.id {
-            scratch.regs.clear();
-            scratch.regs.resize(self.n_regs, 0);
-            scratch.regs[self.const_base..self.n_regs].copy_from_slice(&self.const_values);
-            scratch.tag = self.id;
-        }
-        for (idx, ((slot, bits), &input)) in self.params.iter().zip(inputs).enumerate() {
-            if *bits < 64 && input >> bits != 0 {
-                return Err(InterpError::InputTooWide {
-                    var: self.param_names[idx].clone(),
-                });
-            }
-            scratch.regs[*slot as usize] = input;
-        }
-        self.exec(scratch);
-        out.extend(self.outputs.iter().map(|o| scratch.regs[*o as usize]));
-        Ok(())
-    }
-
-    /// Executes the kernel once, reusing `scratch` and writing the outputs into
-    /// the caller-provided slice — the allocation-free twin of
-    /// [`Self::run_with`] for callers that own a flat row-major output buffer
-    /// (the batch launcher writes each element's outputs straight into its
-    /// row, with no per-element staging `Vec`).
+    /// Executes the kernel over row-major elements, reusing `scratch`: element
+    /// `i`'s parameters occupy `inputs[i * param_count .. (i + 1) * param_count]`
+    /// and its outputs are written to
+    /// `out[i * output_count .. (i + 1) * output_count]`. The element count is
+    /// `out.len() / output_count` (for a kernel without outputs,
+    /// `inputs.len() / param_count`, rounded up). Elements run [`LANE_BLOCK`] at a
+    /// time through [`Self::run_lanes`]; with one element this is the
+    /// per-element contract of [`interp::run`](crate::interp::run).
     ///
     /// # Panics
     ///
-    /// Panics if `out.len()` is not exactly [`Self::output_count`] — a caller
-    /// bug, like a mis-sliced output row.
+    /// Panics if `out.len()` is not a multiple of [`Self::output_count`] — a
+    /// caller bug, like a mis-sliced output row.
     ///
     /// # Errors
     ///
-    /// See [`Self::run_with`].
+    /// Returns [`InterpError::ArgumentCount`] if `inputs` does not hold
+    /// `param_count` words per element, or [`InterpError::InputTooWide`] for a bad
+    /// element input (all other failure modes were ruled out at compile time).
     pub fn run_into(
         &self,
         inputs: &[u64],
-        scratch: &mut Scratch,
+        scratch: &mut BlockScratch,
         out: &mut [u64],
     ) -> Result<(), InterpError> {
+        let (p, oc) = (self.params.len(), self.outputs.len());
+        let n = out
+            .len()
+            .checked_div(oc)
+            .unwrap_or_else(|| inputs.len().div_ceil(p.max(1)));
         assert_eq!(
             out.len(),
-            self.outputs.len(),
-            "output slice length must equal output_count()"
+            n * oc,
+            "output slice length must be a multiple of output_count()"
         );
-        if inputs.len() != self.params.len() {
+        if inputs.len() != n * p {
             return Err(InterpError::ArgumentCount {
-                expected: self.params.len(),
+                expected: n * p,
                 got: inputs.len(),
             });
         }
-        if scratch.tag != self.id {
-            scratch.regs.clear();
-            scratch.regs.resize(self.n_regs, 0);
-            scratch.regs[self.const_base..self.n_regs].copy_from_slice(&self.const_values);
-            scratch.tag = self.id;
-        }
-        for (idx, ((slot, bits), &input)) in self.params.iter().zip(inputs).enumerate() {
-            if *bits < 64 && input >> bits != 0 {
-                return Err(InterpError::InputTooWide {
-                    var: self.param_names[idx].clone(),
-                });
-            }
-            scratch.regs[*slot as usize] = input;
-        }
-        self.exec(scratch);
-        for (slot, o) in self.outputs.iter().zip(out) {
-            *o = scratch.regs[*slot as usize];
+        for lo in (0..n).step_by(LANE_BLOCK) {
+            self.run_lanes(
+                (n - lo).min(LANE_BLOCK),
+                scratch,
+                |k, lanes| {
+                    for (lane, &v) in lanes.iter_mut().zip(inputs[lo * p + k..].iter().step_by(p)) {
+                        *lane = v;
+                    }
+                },
+                |j, lanes| {
+                    for (o, &v) in out[lo * oc + j..].iter_mut().step_by(oc).zip(lanes) {
+                        *o = v;
+                    }
+                },
+            )?;
         }
         Ok(())
     }
 
     /// Executes the kernel once and returns outputs plus operation counts — the
-    /// drop-in equivalent of [`interp::run`](crate::interp::run).
+    /// drop-in equivalent of [`interp::run`](crate::interp::run). Builds a fresh
+    /// frame per call; loops should hold a [`BlockScratch`] and call
+    /// [`Self::run_into`].
     ///
     /// # Errors
     ///
-    /// See [`Self::run_with`].
+    /// See [`Self::run_into`].
     pub fn run(&self, inputs: &[u64]) -> Result<RunResult, InterpError> {
-        let mut scratch = self.scratch();
-        let mut outputs = Vec::with_capacity(self.outputs.len());
-        self.run_with(inputs, &mut scratch, &mut outputs)?;
+        let mut outputs = vec![0; self.outputs.len()];
+        self.run_into(inputs, &mut self.block_scratch(), &mut outputs)?;
         Ok(RunResult {
             outputs,
             counts: self.counts.clone(),
         })
     }
 
-    /// Executes the kernel over a whole batch with one shared scratch frame.
+    /// Executes the kernel over a whole batch with one frame.
     ///
     /// `inputs` is row-major: element `i`'s parameters occupy
     /// `inputs[i * param_count .. (i + 1) * param_count]`. Outputs are returned
@@ -578,27 +532,12 @@ impl CompiledKernel {
     ///
     /// # Errors
     ///
-    /// Returns [`InterpError::ArgumentCount`] if `inputs.len()` is not a multiple
-    /// of the parameter count, or [`InterpError::InputTooWide`] for any bad element
-    /// input.
+    /// See [`Self::run_into`]: a ragged batch (an `inputs.len()` that is not a
+    /// multiple of the parameter count) is an [`InterpError::ArgumentCount`].
     pub fn run_batch(&self, inputs: &[u64]) -> Result<BatchRunResult, InterpError> {
-        let p = self.params.len().max(1);
-        if inputs.len() % p != 0 {
-            return Err(InterpError::ArgumentCount {
-                expected: p,
-                got: inputs.len() % p,
-            });
-        }
-        let elements = if self.params.is_empty() {
-            0
-        } else {
-            inputs.len() / p
-        };
-        let mut scratch = self.scratch();
-        let mut outputs = Vec::with_capacity(elements * self.outputs.len());
-        for row in 0..elements {
-            self.run_with(&inputs[row * p..(row + 1) * p], &mut scratch, &mut outputs)?;
-        }
+        let elements = inputs.len().checked_div(self.params.len()).unwrap_or(0);
+        let mut outputs = vec![0; elements * self.outputs.len()];
+        self.run_into(inputs, &mut self.block_scratch(), &mut outputs)?;
         Ok(BatchRunResult {
             elements,
             outputs_per_element: self.outputs.len(),
@@ -616,10 +555,10 @@ impl CompiledKernel {
 
     /// Executes the kernel over `n` elements (`n ≤ LANE_BLOCK`) in lock-step
     /// lanes: every bytecode instruction runs across all `n` lanes before the
-    /// next instruction dispatches, so the per-instruction dispatch (and the
-    /// per-element call overhead of [`Self::run_with`]) is amortized over the
-    /// whole block — the difference that makes generated fused kernels
-    /// competitive with hand-written loops on wide batches.
+    /// next instruction dispatches, so the per-instruction dispatch is amortized
+    /// over the whole block — the difference that makes generated fused kernels
+    /// competitive with hand-written loops on wide batches. Every other entry
+    /// point runs through here.
     ///
     /// `fill(p, lanes)` must write parameter `p`'s value for each of the `n`
     /// elements into `lanes` (for row-major planes this is a contiguous row
@@ -682,10 +621,10 @@ impl CompiledKernel {
         scratch.tag = self.id;
     }
 
-    /// The lane-block twin of [`Self::exec`]: one instruction dispatch per
-    /// block, a tight `0..n` lane loop per instruction. Kept in exact semantic
-    /// lock-step with `exec` (same arms, same masking) — the
-    /// `run_lanes_matches_per_element_run` test asserts the equivalence.
+    /// The bytecode execution loop: one instruction dispatch per block, a tight
+    /// `0..n` lane loop per instruction, no lookups, no `Option`s, no
+    /// allocation. The interpreter is its oracle — see the
+    /// `run_lanes_matches_per_element_run` test.
     fn exec_lanes(&self, scratch: &mut BlockScratch, n: usize) {
         const B: usize = LANE_BLOCK;
         let consts_from = self.const_base;
@@ -794,8 +733,8 @@ impl CompiledKernel {
                     }
                 }
                 Code::ShrMulti(op) => {
-                    // Rare in fused hot paths; stage per lane exactly as `exec`
-                    // does (destinations may alias source words).
+                    // Rare in fused hot paths; destinations may alias source
+                    // words, so stage each lane's sources first.
                     let word_bits = op.word_bits;
                     let nw = op.words.len();
                     let total_bits = word_bits * nw as u32;
@@ -879,8 +818,8 @@ impl CompiledKernel {
                     // constant operand — a fused cross-basis coefficient, say —
                     // is read once as a scalar instead of streaming its
                     // broadcast lanes. The first pair *assigns*, so the
-                    // accumulators need no per-instruction zeroing. Same bound
-                    // argument as `exec`: the validator caps Σᵢ aᵢ·bᵢ, so they
+                    // accumulators need no per-instruction zeroing. `compile`
+                    // rejects any Σᵢ aᵢ·bᵢ whose worst case exceeds u128, so they
                     // cannot wrap.
                     if op.pairs.is_empty() {
                         accs[..n].fill(0);
@@ -921,142 +860,6 @@ impl CompiledKernel {
                         };
                         *dst = v & op.d.mask;
                     }
-                }
-            }
-        }
-    }
-
-    /// The bytecode execution loop: no lookups, no `Option`s, no allocation.
-    fn exec(&self, scratch: &mut Scratch) {
-        let regs = &mut scratch.regs;
-        let rd = |regs: &[u64], s: Src| -> u64 { regs[s as usize] };
-        for op in &self.code {
-            match op {
-                Code::Copy { d, s } => {
-                    regs[d.reg as usize] = rd(regs, *s) & d.mask;
-                }
-                Code::AddWide {
-                    carry,
-                    sum,
-                    a,
-                    b,
-                    cin,
-                    sum_bits,
-                } => {
-                    let cin = rd(regs, *cin) as u128;
-                    let t = rd(regs, *a) as u128 + rd(regs, *b) as u128 + cin;
-                    regs[carry.reg as usize] = ((t >> sum_bits) as u64) & carry.mask;
-                    regs[sum.reg as usize] = (t as u64) & sum.mask;
-                }
-                Code::Sub { d, a, b, bin } => {
-                    let bin = rd(regs, *bin);
-                    let t = rd(regs, *a).wrapping_sub(rd(regs, *b)).wrapping_sub(bin);
-                    regs[d.reg as usize] = t & d.mask;
-                }
-                Code::MulWide {
-                    hi,
-                    lo,
-                    a,
-                    b,
-                    lo_bits,
-                } => {
-                    let p = rd(regs, *a) as u128 * rd(regs, *b) as u128;
-                    regs[hi.reg as usize] = ((p >> lo_bits) as u64) & hi.mask;
-                    regs[lo.reg as usize] = (p as u64) & lo.mask;
-                }
-                Code::MulLow { d, a, b } => {
-                    regs[d.reg as usize] = rd(regs, *a).wrapping_mul(rd(regs, *b)) & d.mask;
-                }
-                Code::Lt { d, a, b } => {
-                    regs[d.reg as usize] = (rd(regs, *a) < rd(regs, *b)) as u64;
-                }
-                Code::Eq { d, a, b } => {
-                    regs[d.reg as usize] = (rd(regs, *a) == rd(regs, *b)) as u64;
-                }
-                Code::BoolAnd { d, a, b } => {
-                    regs[d.reg as usize] = (rd(regs, *a) != 0 && rd(regs, *b) != 0) as u64;
-                }
-                Code::BoolOr { d, a, b } => {
-                    regs[d.reg as usize] = (rd(regs, *a) != 0 || rd(regs, *b) != 0) as u64;
-                }
-                Code::Select {
-                    d,
-                    cond,
-                    if_true,
-                    if_false,
-                } => {
-                    let v = if rd(regs, *cond) != 0 {
-                        rd(regs, *if_true)
-                    } else {
-                        rd(regs, *if_false)
-                    };
-                    regs[d.reg as usize] = v & d.mask;
-                }
-                Code::ShrMulti(op) => {
-                    // Destinations may alias source words, so stage the sources in
-                    // the reusable scratch buffer first (no per-call allocation).
-                    scratch.shr.clear();
-                    for w in &op.words {
-                        scratch.shr.push(regs[*w as usize]);
-                    }
-                    let src_words = &scratch.shr;
-                    let n = src_words.len();
-                    let word_bits = op.word_bits;
-                    let total_bits = word_bits * n as u32;
-                    for (k, dst) in op.dsts.iter().rev().enumerate() {
-                        let mut v: u64 = 0;
-                        for bit in 0..word_bits {
-                            let src_bit = op.shift + k as u32 * word_bits + bit;
-                            if src_bit < total_bits {
-                                let word = n as u32 - 1 - src_bit / word_bits;
-                                let b = (src_words[word as usize] >> (src_bit % word_bits)) & 1;
-                                v |= b << bit;
-                            }
-                        }
-                        regs[dst.reg as usize] = v & dst.mask;
-                    }
-                }
-                Code::AddMod { d, a, b, q } => {
-                    let q = rd(regs, *q) as u128;
-                    let v = (rd(regs, *a) as u128 + rd(regs, *b) as u128) % q;
-                    regs[d.reg as usize] = (v as u64) & d.mask;
-                }
-                Code::SubMod { d, a, b, q } => {
-                    let q = rd(regs, *q);
-                    let a = rd(regs, *a);
-                    let b = rd(regs, *b);
-                    let v = if a < b {
-                        (a as u128 + q as u128 - b as u128) as u64
-                    } else {
-                        a - b
-                    };
-                    regs[d.reg as usize] = v & d.mask;
-                }
-                Code::MulModBarrett { d, a, b, q } => {
-                    let q = rd(regs, *q) as u128;
-                    let v = (rd(regs, *a) as u128 * rd(regs, *b) as u128) % q;
-                    regs[d.reg as usize] = (v as u64) & d.mask;
-                }
-                Code::MulAddMod { d, a, b, c, q } => {
-                    let q = rd(regs, *q) as u128;
-                    // a·b + c cannot overflow u128 for word-sized operands.
-                    let v =
-                        (rd(regs, *a) as u128 * rd(regs, *b) as u128 + rd(regs, *c) as u128) % q;
-                    regs[d.reg as usize] = (v as u64) & d.mask;
-                }
-                Code::MacReduceMod(op) => {
-                    // The validator bounds Σᵢ aᵢ·bᵢ by the operand widths, so the
-                    // accumulator cannot wrap; one reduction closes the loop.
-                    let mut acc: u128 = 0;
-                    for (a, b) in &op.pairs {
-                        acc += rd(regs, *a) as u128 * rd(regs, *b) as u128;
-                    }
-                    let v = if op.recip != 0 {
-                        reduce_wide(acc, op)
-                    } else {
-                        (acc % op.q as u128) as u64
-                    };
-                    regs[op.d.reg as usize] = v & op.d.mask;
                 }
             }
         }
@@ -1433,16 +1236,18 @@ mod tests {
     #[test]
     fn run_lanes_matches_per_element_run() {
         // The lane-block executor must be element-wise identical to the
-        // per-element path, including the constant-operand scalar fast path
-        // in `MacReduceMod` (the `Const(7)` / `Const(11)` pairs below) and
+        // per-element interpreter, including the constant-operand scalar fast
+        // path in `MacReduceMod` (the `Const(7)` / `Const(11)` pairs below) and
         // partial trailing blocks. One scratch frame is reused across block
-        // sizes to exercise the preload tag as well.
+        // sizes to exercise the preload tag as well. `s` is declared 52 bits
+        // wide (what `AddMod` modulo the 52-bit q yields) so that `s·s` keeps
+        // the second accumulation within its u128 bound.
         let q = (1u64 << 52) - 47;
         let mut kb = KernelBuilder::new("lanes_mix");
         let a = kb.param("a", Ty::UInt(52));
         let b = kb.param("b", Ty::UInt(52));
         let t = kb.local("t", Ty::UInt(64));
-        let s = kb.output("s", Ty::UInt(64));
+        let s = kb.output("s", Ty::UInt(52));
         let out = kb.output("out", Ty::UInt(64));
         kb.push(
             vec![t],
@@ -1503,7 +1308,7 @@ mod tests {
             )
             .unwrap();
             for e in 0..n {
-                let one = c.run(&[a_vals[e], b_vals[e]]).unwrap();
+                let one = interp::run(&k, &[a_vals[e], b_vals[e]]).unwrap();
                 assert_eq!(
                     vec![got[0][e], got[1][e]],
                     one.outputs,
@@ -1560,12 +1365,12 @@ mod tests {
         };
         let k3 = build("times3", 3);
         let k5 = build("times5", 5);
-        let mut scratch = k3.scratch();
-        let mut out = Vec::new();
-        k3.run_with(&[10], &mut scratch, &mut out).unwrap();
-        k5.run_with(&[10], &mut scratch, &mut out).unwrap();
-        k3.run_with(&[11], &mut scratch, &mut out).unwrap();
-        assert_eq!(out, vec![30, 50, 33]);
+        let mut scratch = k3.block_scratch();
+        let mut out = [0; 4];
+        k3.run_into(&[10], &mut scratch, &mut out[..1]).unwrap();
+        k5.run_into(&[10], &mut scratch, &mut out[1..2]).unwrap();
+        k3.run_into(&[11, 12], &mut scratch, &mut out[2..]).unwrap();
+        assert_eq!(out, [30, 50, 33, 36]);
     }
 
     #[test]
@@ -1649,10 +1454,12 @@ mod tests {
     fn batch_matches_per_element_runs() {
         let k = modops_kernel();
         let c = CompiledKernel::compile(&k).unwrap();
-        let rows: Vec<[u64; 3]> = (0..50).map(|i| [i * 7 % 101, i * 13 % 101, 101]).collect();
+        // Two full lane blocks plus a ragged third.
+        let n = 2 * LANE_BLOCK as u64 + 3;
+        let rows: Vec<[u64; 3]> = (0..n).map(|i| [i * 7 % 101, i * 13 % 101, 101]).collect();
         let flat: Vec<u64> = rows.iter().flatten().copied().collect();
         let batch = c.run_batch(&flat).unwrap();
-        assert_eq!(batch.elements, 50);
+        assert_eq!(batch.elements, n as usize);
         let mut total = OpCounts::new();
         for (i, row) in rows.iter().enumerate() {
             let single = interp::run(&k, row).unwrap();
@@ -1675,7 +1482,10 @@ mod tests {
         ));
         assert!(matches!(
             c.run_batch(&[1, 2, 3, 4]),
-            Err(InterpError::ArgumentCount { .. })
+            Err(InterpError::ArgumentCount {
+                expected: 3,
+                got: 4
+            })
         ));
 
         let mut kb = KernelBuilder::new("wide");
@@ -1697,6 +1507,57 @@ mod tests {
             c.run(&[300]),
             Err(InterpError::InputTooWide { .. })
         ));
+        // A bad element inside the second lane block is caught too.
+        let mut batch = vec![200; 2 * LANE_BLOCK];
+        batch[LANE_BLOCK + 5] = 300;
+        assert!(matches!(
+            c.run_batch(&batch),
+            Err(InterpError::InputTooWide { .. })
+        ));
+    }
+
+    #[test]
+    fn accumulator_bound_is_enforced_by_compile_interp_and_validate() {
+        // Σ aᵢ·bᵢ over 64-bit words: (2^64−1)² + 2·(2^64−1) is exactly
+        // u128::MAX, so this accumulation fits with nothing to spare; one more
+        // pair can overflow and must be rejected by all three consumers alike.
+        let q = (1u64 << 40) - 87;
+        let (mu, mbits, radix, recip) = barrett_constants(q);
+        let build = |extra: bool| {
+            let mut kb = KernelBuilder::new("mac_at_bound");
+            let a = kb.param("a", Ty::UInt(64));
+            let b = kb.param("b", Ty::UInt(64));
+            let out = kb.output("out", Ty::UInt(64));
+            let mut pairs = vec![(a.into(), b.into()), (a.into(), Operand::Const(2))];
+            if extra {
+                pairs.push((b.into(), Operand::Const(1)));
+            }
+            kb.push(
+                vec![out],
+                Op::MacReduceMod {
+                    pairs,
+                    q,
+                    mu,
+                    mbits,
+                    radix,
+                    recip,
+                },
+            );
+            kb.build()
+        };
+        let at = build(false);
+        crate::validate::validate(&at).unwrap();
+        let c = CompiledKernel::compile(&at).unwrap();
+        let m = [u64::MAX, u64::MAX];
+        let want = (u128::MAX % q as u128) as u64;
+        assert_eq!(c.run(&m).unwrap().outputs, [want]);
+        assert_eq!(c.run(&m).unwrap(), interp::run(&at, &m).unwrap());
+
+        let past = build(true);
+        let overflow = Err(InterpError::AccumulatorOverflow { var: "out".into() });
+        assert_eq!(CompiledKernel::compile(&past).map(|_| ()), overflow);
+        assert_eq!(interp::run(&past, &m).map(|_| ()), overflow);
+        assert!(crate::validate::validate(&past).is_err());
     }
 
     #[test]

@@ -39,6 +39,12 @@ pub enum InterpError {
         /// The parameter name.
         var: String,
     },
+    /// The worst-case sum of products of a `MacReduceMod` does not fit its
+    /// 128-bit accumulator, so the result could silently wrap.
+    AccumulatorOverflow {
+        /// The accumulation's destination variable.
+        var: String,
+    },
 }
 
 impl fmt::Display for InterpError {
@@ -60,6 +66,12 @@ impl fmt::Display for InterpError {
                 write!(
                     f,
                     "input for parameter '{var}' does not fit its declared width"
+                )
+            }
+            InterpError::AccumulatorOverflow { var } => {
+                write!(
+                    f,
+                    "accumulation into '{var}' can overflow the 128-bit accumulator"
                 )
             }
         }
@@ -84,8 +96,8 @@ pub struct RunResult {
 /// # Errors
 ///
 /// Returns an [`InterpError`] if the kernel is not fully lowered (any variable wider
-/// than 64 bits), if the input count is wrong, or if a value is read before being
-/// written.
+/// than 64 bits), if the input count is wrong, if a value is read before being
+/// written, or if an accumulation can overflow its 128-bit accumulator.
 ///
 /// # Example
 ///
@@ -294,8 +306,13 @@ fn exec_stmt(
             write(stmt.dsts[0], v, values);
         }
         Op::MacReduceMod { pairs, q, .. } => {
-            // Exact accumulation, one reduction at the end. The validator bounds
-            // Σᵢ aᵢ·bᵢ by the operand widths, so the u128 sum cannot wrap.
+            // Exact accumulation, one reduction at the end, only where Σᵢ aᵢ·bᵢ
+            // is bounded by the operand widths, so the u128 sum cannot wrap.
+            if !crate::validate::accumulator_fits(kernel, pairs) {
+                return Err(InterpError::AccumulatorOverflow {
+                    var: kernel.var(stmt.dsts[0]).name.clone(),
+                });
+            }
             let mut acc: u128 = 0;
             for (a, b) in pairs {
                 acc += read(*a, values)? * read(*b, values)?;

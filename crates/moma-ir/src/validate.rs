@@ -62,6 +62,26 @@ pub fn validate(kernel: &Kernel) -> Result<(), ValidateError> {
     Ok(())
 }
 
+/// Whether the 128-bit accumulator of a `MacReduceMod` holds the worst case of
+/// Σᵢ aᵢ·bᵢ over `pairs`, bounding each operand by its literal value or by its
+/// declared width. The one bound shared by the validator, the interpreter and
+/// the compiled executor, so all three accept exactly the same accumulations.
+pub(crate) fn accumulator_fits(kernel: &Kernel, pairs: &[(Operand, Operand)]) -> bool {
+    let bound = |o: &Operand| match *o {
+        Operand::Const(v) => v as u128,
+        Operand::Var(v) => match kernel.ty(v).bits() {
+            w if w >= 128 => u128::MAX,
+            w => (1u128 << w) - 1,
+        },
+    };
+    pairs
+        .iter()
+        .try_fold(0u128, |worst, (a, b)| {
+            worst.checked_add(bound(a).checked_mul(bound(b))?)
+        })
+        .is_some()
+}
+
 fn err(stmt: usize, message: impl Into<String>) -> ValidateError {
     ValidateError {
         stmt: Some(stmt),
@@ -338,35 +358,17 @@ fn check_stmt(
                     format!("reduction constants inconsistent with modulus {q}"),
                 ));
             }
-            // Static overflow bound: the 128-bit accumulator must hold the worst
-            // case of Σᵢ aᵢ·bᵢ, bounding each operand by its literal value or by
-            // its declared width. Fusion bails out when this cannot be shown, so
-            // a validated accumulation is always exact.
-            let bound = |o: Operand| -> Result<u128, ValidateError> {
-                match o {
-                    Operand::Const(v) => Ok(v as u128),
-                    Operand::Var(v) => match kernel.ty(v) {
-                        Ty::UInt(w) => Ok(if w >= 128 {
-                            u128::MAX
-                        } else {
-                            (1u128 << w) - 1
-                        }),
-                        Ty::Flag => Err(err(idx, "accumulation terms must be words")),
-                    },
-                }
-            };
-            let mut worst: u128 = 0;
-            for (a, b) in pairs {
-                let term = bound(*a)?.checked_mul(bound(*b)?);
-                worst = match term.and_then(|t| worst.checked_add(t)) {
-                    Some(w) => w,
-                    None => {
-                        return Err(err(
-                            idx,
-                            "sum of products can overflow the 128-bit accumulator",
-                        ))
-                    }
-                };
+            let is_flag = |o: &Operand| o.as_var().is_some_and(|v| kernel.ty(v) == Ty::Flag);
+            if pairs.iter().any(|(a, b)| is_flag(a) || is_flag(b)) {
+                return Err(err(idx, "accumulation terms must be words"));
+            }
+            // Fusion bails out when the bound cannot be shown, so a validated
+            // accumulation is always exact.
+            if !accumulator_fits(kernel, pairs) {
+                return Err(err(
+                    idx,
+                    "sum of products can overflow the 128-bit accumulator",
+                ));
             }
             match dst_ty(0) {
                 Ty::UInt(dw) if dw >= true_mbits => {}

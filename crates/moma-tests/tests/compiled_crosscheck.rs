@@ -5,8 +5,13 @@
 //!
 //! The interpreter is the semantic reference; both executors compute the same pure
 //! function of the input words, so the check feeds fully random (width-masked)
-//! inputs and requires bit-exact agreement.
+//! inputs and requires bit-exact agreement. The compiled side runs in lane blocks
+//! of `LANE_BLOCK` elements, so the generated multi-word kernels are also checked
+//! at batch sizes that cross block boundaries, through both `run_batch` and the
+//! simulated-GPU launch.
 
+use moma::gpu::launch_compiled_batch;
+use moma_ir::compiled::LANE_BLOCK;
 use moma_ir::cost::OpCounts;
 use moma_ir::{interp, validate, CompiledKernel, Kernel, KernelBuilder, Op, Operand, Ty};
 use moma_rewrite::{lower, HighLevelKernel, KernelOp, KernelSpec, LoweringConfig, MulAlgorithm};
@@ -30,9 +35,9 @@ fn random_inputs(kernel: &Kernel, rng: &mut StdRng) -> Vec<u64> {
         .collect()
 }
 
-/// Runs `rounds` random elements through both executors (per-element interpretation
-/// and one compiled `run_batch`) and demands identical outputs and identical
-/// aggregated operation counts.
+/// Runs `rounds` random elements through both executors (per-element interpretation,
+/// and one compiled `run_batch` plus one `launch_compiled_batch`) and demands
+/// identical outputs and identical aggregated operation counts.
 fn crosscheck(kernel: &Kernel, rounds: usize, seed: u64) {
     validate::validate(kernel).expect("kernel must type-check");
     let compiled = CompiledKernel::compile(kernel)
@@ -47,6 +52,12 @@ fn crosscheck(kernel: &Kernel, rounds: usize, seed: u64) {
         .run_batch(&flat)
         .unwrap_or_else(|e| panic!("{}: batch run failed: {e}", kernel.name));
     assert_eq!(batch.elements, rounds);
+    let (launched, _) = launch_compiled_batch(&compiled, &flat);
+    assert_eq!(
+        launched, batch.outputs,
+        "{}: launch diverges from run_batch",
+        kernel.name
+    );
 
     let mut interp_counts = OpCounts::new();
     for (i, row) in rows.iter().enumerate() {
@@ -60,11 +71,14 @@ fn crosscheck(kernel: &Kernel, rounds: usize, seed: u64) {
         );
         interp_counts = interp_counts + oracle.counts;
     }
-    assert_eq!(
-        batch.counts, interp_counts,
-        "{}: operation counts diverge from the interpreter",
-        kernel.name
-    );
+    // An empty batch has nothing to count (its scaled counts are all zero).
+    if rounds > 0 {
+        assert_eq!(
+            batch.counts, interp_counts,
+            "{}: operation counts diverge from the interpreter",
+            kernel.name
+        );
+    }
 }
 
 #[test]
@@ -89,7 +103,13 @@ fn compiled_matches_interpreter_on_all_rewrite_kernels() {
                 };
                 let lowered = lower(&hl, &config);
                 assert!(lowered.kernel.is_machine_level(64));
-                crosscheck(&lowered.kernel, 25, seed);
+                // The multi-word multiply kernels (`MulWide`, `ShrMulti`,
+                // `Select` in every block) run past two lane-block boundaries.
+                let rounds = match op {
+                    KernelOp::ModMul | KernelOp::Butterfly => 2 * LANE_BLOCK + 3,
+                    _ => 25,
+                };
+                crosscheck(&lowered.kernel, rounds, seed);
                 seed += 1;
             }
         }
@@ -133,4 +153,15 @@ fn compiled_matches_interpreter_on_small_word_lowerings() {
     let lowered = lower(&hl, &config);
     assert!(lowered.kernel.is_machine_level(32));
     crosscheck(&lowered.kernel, 50, 0x3232);
+}
+
+#[test]
+fn compiled_matches_interpreter_at_lane_block_boundaries() {
+    // Empty, single, and either side of one and two block boundaries, on the
+    // generated ModMul-256 kernel.
+    let hl = moma_rewrite::builders::build(&KernelSpec::new(KernelOp::ModMul, 256));
+    let lowered = lower(&hl, &LoweringConfig::default());
+    for (i, n) in [0, 1, 127, 128, 129, 259].into_iter().enumerate() {
+        crosscheck(&lowered.kernel, n, 0xb10c + i as u64);
+    }
 }
