@@ -949,11 +949,10 @@ fn bench_fused_mul_chain(
     }
 }
 
-/// Benchmarks the 64-bit planned NTT executed inline vs stage-by-stage on the
-/// virtual-GPU launcher (one thread per butterfly, a launch barrier per stage),
-/// the launcher side through the session-pooled [`moma::NttSpace::forward_batch`]
-/// with a batch of one. Returns `(inline_ns_per_butterfly,
-/// launcher_ns_per_butterfly)`.
+/// Benchmarks the 64-bit planned NTT executed inline vs on the virtual-GPU
+/// launcher (one launch, one block running the inline plan), the launcher side
+/// through [`moma::NttSpace::forward_batch`] with a batch of one. Returns
+/// `(inline_ns_per_butterfly, launcher_ns_per_butterfly)`.
 fn bench_ntt_launcher(session: &Session, n: usize, iters: u32) -> (f64, f64) {
     let space = session.ntt_default(n);
     let mut rng = rand::thread_rng();
@@ -968,9 +967,10 @@ fn bench_ntt_launcher(session: &Session, n: usize, iters: u32) -> (f64, f64) {
 }
 
 /// Result of the batched-vs-single launcher NTT measurement: the ROADMAP
-/// "batched transforms" item. The launch counts are the point: batching keeps
-/// the per-stage launch count at `log2 n + 1` however many transforms ride
-/// along, where one-by-one execution pays that per transform.
+/// "batched transforms" item. The launch counts are the point: a batch runs
+/// one block per transform in a single launch however many transforms ride
+/// along, where one-by-one execution pays one launch per transform. The JSON
+/// keeps the historical `*_stage_launches` field names.
 struct BatchedNttBench {
     batched_ns_per_butterfly: f64,
     single_ns_per_butterfly: f64,
@@ -978,9 +978,10 @@ struct BatchedNttBench {
     single_launches: usize,
 }
 
-/// Benchmarks `batch` transforms of size `n` run through one stage-batched
-/// launch sequence ([`moma::NttSpace::forward_batch`], grid = batch × n/2 per
-/// stage) vs the same transforms launched one by one (each a batch of one).
+/// Benchmarks `batch` transforms of size `n` run through one batched launch
+/// ([`moma::NttSpace::forward_batch`], one block per transform) vs the same
+/// transforms launched one by one (each a batch of one, run on the calling
+/// thread).
 fn bench_ntt_batched(session: &Session, n: usize, batch: usize, iters: u32) -> BatchedNttBench {
     let space = session.ntt_default(n);
     let mut rng = rand::thread_rng();
@@ -1693,6 +1694,20 @@ fn bench_fhe_ladder(session: &Session, quick: bool) -> LadderBench {
     result
 }
 
+/// The checkout's `git rev-parse HEAD`, or `"unknown"` when git or the
+/// repository is absent — the `host.git_rev` of `BENCH_ntt_blas.json`.
+fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map(|rev| rev.trim().to_string())
+        .filter(|rev| !rev.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 fn bench(session: &Session, quick: bool, serve: &ServeBench, overload: &OverloadBench) {
     heading(if quick {
         "Hot-path bench (quick mode) -> BENCH_ntt_blas.json"
@@ -1716,16 +1731,14 @@ fn bench(session: &Session, quick: bool, serve: &ServeBench, overload: &Overload
     println!("  inline plan    {ntt_inline:>10.2}");
     println!("  launcher       {ntt_launched:>10.2}");
     println!(
-        "  launcher-vs-inline ratio: {:.2}x (stage launches pay a barrier per stage; \
-         > 1 means overhead on this host)",
+        "  launcher-vs-inline ratio: {:.2}x (one launch, one block; \
+         > 1 means launch overhead on this host)",
         ntt_launched / ntt_inline
     );
 
     let ntt_batch = if quick { 8 } else { 16 };
     let batched = bench_ntt_batched(session, n, ntt_batch, iters);
-    println!(
-        "\nStage-batched u64 NTT on the launcher, batch {ntt_batch} x {n} (ns per butterfly):"
-    );
+    println!("\nBatched u64 NTT on the launcher, batch {ntt_batch} x {n} (ns per butterfly):");
     println!(
         "  one-by-one     {:>10.2}   ({} launches)",
         batched.single_ns_per_butterfly, batched.single_launches
@@ -1852,8 +1865,12 @@ fn bench(session: &Session, quick: bool, serve: &ServeBench, overload: &Overload
     let ladder = bench_fhe_ladder(session, quick);
 
     let ov = overload.headline();
+    let host_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_git_rev = git_rev();
     let json = format!(
-        "{{\n  \"generated_by\": \"reproduce bench\",\n  \"quick\": {quick},\n  \"ntt\": {{\n    \
+        "{{\n  \"generated_by\": \"reproduce bench\",\n  \"quick\": {quick},\n  \
+         \"host\": {{\n    \"available_parallelism\": {host_parallelism},\n    \
+         \"git_rev\": \"{host_git_rev}\",\n    \"quick\": {quick}\n  }},\n  \"ntt\": {{\n    \
          \"n\": {n},\n    \"rows\": [\n{ntt_rows}\n    ],\n    \
          \"planned_vs_naive_speedup_u64\": {speedup_u64:.3},\n    \
          \"planned_vs_naive_speedup_u128\": {speedup_u128:.3}\n  }},\n  \

@@ -9,10 +9,11 @@
 //!
 //! Four entry points, one per shape of work:
 //!
-//! * [`launch_indexed`] — a side-effecting closure per element index (the NTT
-//!   butterfly stages; the caller owns its storage and synchronization);
+//! * [`launch_indexed`] — a side-effecting closure per element index (the
+//!   caller owns its storage and synchronization);
 //! * [`launch_chunks`] — a closure per fixed-length chunk of a caller-owned slice,
-//!   written in place (one RNS residue row, one NTT element, one BLAS element);
+//!   written in place (one RNS residue row, one 64-bit NTT row, one BLAS
+//!   element);
 //! * [`launch_compiled_batch`] — a compiled machine-level kernel over a flat
 //!   row-major input batch, outputs returned flat in element order;
 //! * [`launch_compiled_rows`] — a multi-output compiled kernel run in lane blocks,
@@ -21,8 +22,9 @@
 //!   run in a single launch.
 //!
 //! Each entry point carves its work into disjoint spans and hands them to one
-//! private executor, `fork_join`: a single span runs on the calling thread, several
-//! spans run in one `std::thread::scope`. Both compiled launches run through the
+//! private executor, `fork_join`: the first span runs on the calling thread and
+//! every further span on its own scoped thread, all joined before the launch
+//! returns. Both compiled launches run through the
 //! lane-blocked executor ([`CompiledKernel::run_lanes`]) and take their frame
 //! from one thread-local, so the steady state allocates none. The tree
 //! interpreter (`moma_ir::interp`) is the correctness oracle the compiled launches
@@ -31,6 +33,7 @@
 use moma_ir::compiled::{BlockScratch, CompiledKernel, LANE_BLOCK};
 use std::cell::RefCell;
 use std::ops::Range;
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Statistics of one simulated launch.
@@ -86,7 +89,8 @@ impl LaunchStats {
     /// Folds a subsequent (serialized) launch into this total: threads and
     /// launch counts add up, workers take the maximum, elapsed times add up.
     /// Used by callers that chain several launches into one logical operation
-    /// (NTT stages with a barrier between them, one launch per residue row, …).
+    /// (the multi-word NTT's stages with a barrier between them, a ring
+    /// ladder step's raise → multiply → lower → rescale, …).
     pub fn accumulate(&mut self, next: LaunchStats) {
         self.threads += next.threads;
         self.workers = self.workers.max(next.workers);
@@ -96,21 +100,28 @@ impl LaunchStats {
     }
 }
 
-/// Number of host worker threads to use.
+/// Number of host worker threads to use: [`std::thread::available_parallelism`],
+/// read once per process. The query reads the affinity mask and the cgroup
+/// CPU quota (~25 µs on Linux), as much as a whole n = 1024 transform, so it
+/// must not run once per launch.
 fn worker_count() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
+    static WORKERS: OnceLock<usize> = OnceLock::new();
+    *WORKERS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(4)
+    })
 }
 
 thread_local! {
     /// The reusable per-thread frame of both compiled launches. A frame
     /// reloads its constants when it moves between kernels, so one frame per
     /// thread serves every kernel that thread ever launches — the calling
-    /// thread's steady state allocates no frame at all. Scoped worker threads
-    /// are born fresh per launch and build one frame each; that frame is
-    /// O(registers × [`LANE_BLOCK`]) words, not plane-sized, and is excluded
-    /// from [`LaunchStats::allocs`].
+    /// thread's steady state allocates no frame at all. The calling thread
+    /// runs the first span of every launch on its own frame; each of the
+    /// other spans runs on a scoped thread born fresh for that launch, which
+    /// builds one frame. That frame is O(registers × [`LANE_BLOCK`]) words,
+    /// not plane-sized, and is excluded from [`LaunchStats::allocs`].
     static BLOCK_SCRATCH: RefCell<BlockScratch> = RefCell::new(BlockScratch::default());
 }
 
@@ -128,24 +139,31 @@ fn spans(n: usize, len: usize) -> impl ExactSizeIterator<Item = Range<usize>> {
 /// Runs `body` once per part and reports a one-launch [`LaunchStats`] over
 /// `threads` virtual threads — the one place a launch decides how it
 /// executes. The parts must be disjoint (index spans, `chunks_mut` windows).
-/// A single part runs on the calling thread, with no spawn and no heap
-/// allocation; several parts run on one scoped thread each, all joined
+/// The first part always runs on the calling thread; a single part does so
+/// with no spawn and no heap allocation, and each further part runs on one
+/// scoped thread, spawned before the caller starts its own part and joined
 /// before this returns.
-fn fork_join<P, F>(threads: usize, parts: impl ExactSizeIterator<Item = P>, body: F) -> LaunchStats
+fn fork_join<P, F>(
+    threads: usize,
+    mut parts: impl ExactSizeIterator<Item = P>,
+    body: F,
+) -> LaunchStats
 where
     P: Send,
     F: Fn(P) + Sync,
 {
     let start = Instant::now();
     let workers = parts.len().max(1);
-    if workers == 1 {
-        parts.for_each(body);
+    let first = parts.next();
+    if parts.len() == 0 {
+        first.into_iter().for_each(body);
     } else {
         std::thread::scope(|scope| {
             for part in parts {
                 let body = &body;
                 scope.spawn(move || body(part));
             }
+            first.into_iter().for_each(&body);
         });
     }
     LaunchStats {
@@ -394,6 +412,30 @@ mod tests {
         let chunks = launch_chunks(&mut [0u64; 8], 8, |_, _| record());
         assert_eq!(*seen.lock().unwrap(), [caller, caller]);
         assert_eq!((indexed.workers, chunks.workers), (1, 1));
+    }
+
+    #[test]
+    fn fork_join_runs_exactly_one_part_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for parts in [2, 3] {
+            let ran_on = std::sync::Mutex::new(Vec::new());
+            let stats = fork_join(parts, 0..parts, |part| {
+                ran_on
+                    .lock()
+                    .unwrap()
+                    .push((part, std::thread::current().id()));
+            });
+            let mut ran_on = ran_on.into_inner().unwrap();
+            ran_on.sort_by_key(|&(part, _)| part);
+            assert_eq!(
+                ran_on.iter().map(|&(part, _)| part).collect::<Vec<_>>(),
+                (0..parts).collect::<Vec<_>>(),
+                "{parts} parts: each runs once"
+            );
+            let on_caller = ran_on.iter().filter(|&&(_, id)| id == caller).count();
+            assert_eq!(on_caller, 1, "{parts} parts: one runs on the caller");
+            assert_eq!(stats.workers, parts);
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!   fork-join executor, used both for functional execution and for wall-clock
 //!   measurements of the runtime-library kernels;
 //! * [`pool`] — a thread-safe buffer pool that hands out reusable plane-sized
-//!   `u64` (and `AtomicU64`) buffers keyed by size class, the host stand-in for a
+//!   `u64` buffers keyed by size class, the host stand-in for a
 //!   device memory pool: steady-state serving acquires every working plane here
 //!   instead of the allocator, and the hit/miss counters make "allocation-free
 //!   after warmup" a tested invariant;

@@ -63,10 +63,6 @@ impl PoolStats {
 #[derive(Debug, Default)]
 pub struct BufferPool {
     shelves: Mutex<HashMap<usize, Vec<Vec<u64>>>>,
-    /// Atomic working planes (the batched NTT's in-place butterfly cells) are
-    /// a distinct element type, so they get their own shelves; hits and
-    /// misses feed the same counters.
-    cell_shelves: Mutex<HashMap<usize, Vec<Vec<AtomicU64>>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     recycled: AtomicU64,
@@ -139,58 +135,6 @@ impl BufferPool {
         }
     }
 
-    /// Hands out a zeroed `AtomicU64` working plane of exactly `len` cells —
-    /// the atomic twin of [`BufferPool::acquire`], for in-place butterfly
-    /// stages whose disjoint writes are spelled with relaxed atomics. Shares
-    /// the hit/miss counters with the `u64` side.
-    pub fn acquire_cells(&self, len: usize) -> Vec<AtomicU64> {
-        let class = class_for(len);
-        let shelved = {
-            let mut shelves = self
-                .cell_shelves
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            shelves.get_mut(&class).and_then(Vec::pop)
-        };
-        match shelved {
-            Some(mut buf) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                buf.clear();
-                // In-place re-construction within the reserved capacity: no
-                // heap traffic (`AtomicU64::default()` is zero).
-                buf.resize_with(len, AtomicU64::default);
-                buf
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let mut buf = Vec::with_capacity(class);
-                buf.resize_with(len, AtomicU64::default);
-                buf
-            }
-        }
-    }
-
-    /// Takes an `AtomicU64` working plane back for reuse (see
-    /// [`BufferPool::recycle`]).
-    pub fn recycle_cells(&self, buf: Vec<AtomicU64>) {
-        let shelf = shelf_for(buf.capacity());
-        if buf.capacity() < MIN_CLASS {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut shelves = self
-            .cell_shelves
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let slot = shelves.entry(shelf).or_default();
-        if slot.len() >= MAX_SHELF {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        } else {
-            slot.push(buf);
-            self.recycled.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Misses so far (cheap: one atomic load). Ops that route planes through
     /// the pool report `misses()` deltas as their allocation count.
     pub fn misses(&self) -> u64 {
@@ -199,23 +143,13 @@ impl BufferPool {
 
     /// Snapshot of the pool counters.
     pub fn stats(&self) -> PoolStats {
-        let (mut resident_buffers, mut resident_words) = {
+        let (resident_buffers, resident_words) = {
             let shelves = self.shelves.lock().unwrap_or_else(PoisonError::into_inner);
             shelves
                 .values()
                 .flatten()
                 .fold((0u64, 0u64), |(n, w), b| (n + 1, w + b.capacity() as u64))
         };
-        {
-            let shelves = self
-                .cell_shelves
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
-            for b in shelves.values().flatten() {
-                resident_buffers += 1;
-                resident_words += b.capacity() as u64;
-            }
-        }
         PoolStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -300,19 +234,6 @@ mod tests {
         let stats = pool.stats();
         assert_eq!(stats.hits + stats.misses, 400);
         assert!(stats.misses <= 4, "at most one cold buffer per thread");
-    }
-
-    #[test]
-    fn atomic_cells_recycle_and_rezero() {
-        let pool = BufferPool::new();
-        let cells = pool.acquire_cells(300);
-        cells[7].store(99, std::sync::atomic::Ordering::Relaxed);
-        pool.recycle_cells(cells);
-        let again = pool.acquire_cells(300);
-        assert_eq!(pool.stats().hits, 1);
-        assert!(again
-            .iter()
-            .all(|c| c.load(std::sync::atomic::Ordering::Relaxed) == 0));
     }
 
     #[test]

@@ -1,51 +1,41 @@
-//! Stage-level batched NTT execution on the simulated GPU launcher.
+//! NTT execution on the simulated GPU launcher.
 //!
 //! The inline plan paths ([`NttPlan::forward`], [`NttPlan64::forward`]) walk the
-//! butterfly stages as serial host loops. The paper instead maps **one CUDA thread
-//! per butterfly** and launches each stage as a grid, with grid synchronization
-//! between stages (§5.1). This module reproduces that execution shape on the
-//! virtual-GPU launcher: every stage reads the plan's precomputed twiddles through
-//! the [`NttPlan64::stage`] / [`NttPlan::stage`] accessors and dispatches its
-//! butterflies through [`moma_gpu::launch_indexed`] / [`moma_gpu::launch_chunks`];
-//! the join at the end of each launch is the stage barrier.
+//! butterfly stages as serial host loops. This module runs the same plans
+//! through the virtual-GPU launcher, with one mapping per element width:
 //!
-//! Two execution strategies, chosen by element width:
+//! * **Single word** ([`NttPlan64`]): **one block per transform.** GPU FHE
+//!   libraries run a small NTT (a 64-bit row of up to 2^12 words fits one
+//!   block's shared memory) as one thread block per residue row, whose threads
+//!   sync at a block barrier between stages, and send every row of a batch out
+//!   in a single launch (Jung et al., TCHES 2021; Kim et al., IISWC 2020).
+//!   [`launch_transforms`] is that launch: one [`moma_gpu::launch_chunks`]
+//!   over the flat batch, each chunk one `n`-word row, each row run by a plan's
+//!   inline transform — bit reversal, Harvey `[0, 4q)` lazy butterflies, the
+//!   folded negacyclic twist and the normalize / `n⁻¹ψ⁻ⁱ` pass. The block's
+//!   stage barriers are the inline loop's program order, so a batch of any
+//!   size, and rows of different moduli (the ring layer's residue matrix),
+//!   cost exactly one launch.
+//! * **Multi word** ([`NttPlan`]): the paper's one CUDA thread per butterfly
+//!   with a grid barrier between stages (§5.1). Each stage is a
+//!   [`moma_gpu::launch_chunks`] launch in which butterfly `t` writes its
+//!   output pair (one ring multiplication each) into slot `t` of a pre-sized
+//!   pair plane, scattered back between stages — the double-buffered
+//!   formulation, since `MpUint` values cannot be updated atomically.
 //!
-//! * **Single word** ([`NttPlan64`]): the data lives in an atomic working plane
-//!   (`[AtomicU64]`, acquired from the caller's [`BufferPool`]) for the duration
-//!   of the transform. Within one stage every butterfly reads and writes only its
-//!   own pair of slots, so relaxed atomics are just the safe-Rust spelling of
-//!   CUDA's disjoint global-memory accesses, and the transform stays genuinely in
-//!   place. Butterflies use the same Shoup multiplication and `[0, 4q)` lazy
-//!   reduction as the inline path; one final element-parallel pass normalizes.
-//! * **Multi word** ([`NttPlan`]): each stage is a [`moma_gpu::launch_chunks`]
-//!   launch in which butterfly `t` writes its output pair (one ring
-//!   multiplication each) into slot `t` of a pre-sized pair plane, scattered back
-//!   between stages — the double-buffered formulation, since `MpUint` values
-//!   cannot be updated atomically.
-//!
-//! [`NttPlan64`] has exactly two launcher entry points,
+//! [`NttPlan64`] has two launcher entry points,
 //! [`NttPlan64::forward_batch_on_launcher_pooled`] and
-//! [`NttPlan64::inverse_batch_on_launcher_pooled`]. Both run many same-size
-//! transforms through *one* launch per stage with grid = batch × n/2 — the
-//! paper's batched NTT; a single transform is a batch of one. The per-stage
-//! barrier is thereby amortized over the whole batch: the launch count of a
-//! batched transform is `log2 n + 1` regardless of the batch size (see
-//! [`moma_gpu::LaunchStats::launches`]), where launching the transforms one by
-//! one pays `batch × (log2 n + 1)`. Callers without a pool of their own pass a
-//! fresh [`BufferPool`], whose one miss is the plane the transform allocated.
-//!
-//! On a many-core host the stage launches spread the butterflies across workers;
-//! on a single-vCPU host they degrade to the inline loop plus launch
-//! bookkeeping, which is exactly the overhead `reproduce bench` records as the
-//! `ntt_launcher` entry.
+//! [`NttPlan64::inverse_batch_on_launcher_pooled`], each a
+//! [`launch_transforms`] over `data.len() / n` transforms of the one plan; a
+//! single transform is a batch of one and runs on the calling thread. Their
+//! pool argument is unused: the transform runs in place and needs no working
+//! plane.
 
 use crate::plan::{NttPlan, NttPlan64};
-use crate::transform::bit_reverse_permute;
-use moma_gpu::launch::{launch_chunks, launch_indexed, LaunchStats};
+use crate::transform::{bit_reverse_permute, butterfly_count};
+use moma_gpu::launch::{launch_chunks, LaunchStats};
 use moma_gpu::pool::BufferPool;
 use moma_mp::MpUint;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Maps a butterfly index `t ∈ [0, n/2)` of a stage with half-length `m` to the
 /// data index of its upper input; the lower input sits `m` slots later.
@@ -55,19 +45,37 @@ fn butterfly_base(t: usize, m: usize) -> usize {
     ((t >> log_m) << (log_m + 1)) | (t & (m - 1))
 }
 
+/// Runs `transform(r, row)` on every `n`-word row `r` of `data` in **one**
+/// launch, one block per row: contiguous groups of rows go to the host
+/// workers, and each row is transformed in place by the caller's inline
+/// plan, so rows may use different plans (moduli) of the same size.
+///
+/// The statistics report one launch over the paper's virtual-thread count,
+/// `rows × (butterflies(n) + n)` — each row's butterflies plus its
+/// element-wise normalize pass — and no allocation.
+///
+/// # Panics
+///
+/// Panics if `data.len()` is not a non-zero multiple of `n`.
+pub fn launch_transforms<F>(data: &mut [u64], n: usize, transform: F) -> LaunchStats
+where
+    F: Fn(usize, &mut [u64]) + Sync,
+{
+    assert!(
+        !data.is_empty() && data.len() % n == 0,
+        "data length must be a non-zero multiple of the transform size"
+    );
+    let mut stats = launch_chunks(data, n, transform);
+    stats.threads *= butterfly_count(n) as usize + n;
+    stats
+}
+
 impl NttPlan64 {
-    /// Forward-transforms a whole batch of `data.len() / n` transforms in place,
-    /// with each butterfly stage of **all** transforms dispatched as one launch
-    /// (grid = batch × n/2, one virtual thread per butterfly) — the paper's
-    /// batched NTT. The per-stage grid barrier is paid once per stage, not once
-    /// per transform: the returned statistics report `log2 n + 1` launches
-    /// however large the batch is.
-    ///
-    /// The atomic working plane is acquired from (and returned to) `pool`, and
-    /// the returned statistics count pool *misses* in the window as
-    /// allocations, so a warm pool reports `allocs == 0`. The normalize pass
-    /// writes `data` in place through [`launch_chunks`] (chunk length 1, so the
-    /// thread count still equals the element count).
+    /// Forward-transforms a whole batch of `data.len() / n` transforms in
+    /// place in one launch, one block per transform ([`launch_transforms`]
+    /// running [`NttPlan64::forward`] on every row). The launch count is 1
+    /// however large the batch is. `pool` is unused — the transform needs no
+    /// working plane — so `allocs` is 0.
     ///
     /// Inputs must be reduced (`< q`); outputs are reduced.
     ///
@@ -77,36 +85,16 @@ impl NttPlan64 {
     pub fn forward_batch_on_launcher_pooled(
         &self,
         data: &mut [u64],
-        pool: &BufferPool,
+        _pool: &BufferPool,
     ) -> LaunchStats {
-        let before = pool.misses();
-        let cells = pool.acquire_cells(data.len());
-        let mut stats = self.run_stages_batched(data, true, &cells);
-        let q = self.ctx.q;
-        let two_q = self.two_q();
-        let pass = launch_chunks(data, 1, |i, out| {
-            let mut v = cells[i].load(Ordering::Relaxed);
-            if v >= two_q {
-                v -= two_q;
-            }
-            if v >= q {
-                v -= q;
-            }
-            out[0] = v;
-        });
-        stats.accumulate(pass);
-        pool.recycle_cells(cells);
-        stats.allocs += (pool.misses() - before) as usize;
-        stats
+        launch_transforms(data, self.n, |_, row| self.forward(row))
     }
 
-    /// Inverse-transforms a whole batch of `data.len() / n` transforms in place
-    /// (with `1/n` scaling), one launch per butterfly stage across the whole
-    /// batch; the scaling pass doubles as the normalize pass, as in the inline
-    /// plan. The working plane comes from `pool` and `allocs` reports the
-    /// pool-miss delta of the window, as in
-    /// [`NttPlan64::forward_batch_on_launcher_pooled`]. Inputs must be reduced;
-    /// outputs are reduced.
+    /// Inverse-transforms a whole batch of `data.len() / n` transforms in
+    /// place (with `1/n` scaling, or the `n⁻¹ψ⁻ⁱ` untwist on a negacyclic
+    /// plan) in one launch, one block per transform, as in
+    /// [`NttPlan64::forward_batch_on_launcher_pooled`]; `pool` is unused.
+    /// Inputs must be reduced; outputs are reduced.
     ///
     /// # Panics
     ///
@@ -114,135 +102,9 @@ impl NttPlan64 {
     pub fn inverse_batch_on_launcher_pooled(
         &self,
         data: &mut [u64],
-        pool: &BufferPool,
+        _pool: &BufferPool,
     ) -> LaunchStats {
-        let before = pool.misses();
-        let cells = pool.acquire_cells(data.len());
-        let mut stats = self.run_stages_batched(data, false, &cells);
-        let q = self.ctx.q;
-        let pass = if let Some(tw) = self.twist() {
-            // Negacyclic: the per-index ψ^{-i}·n^{-1} factor unfolds the twist
-            // inside the same scaling multiply — still one pass, one launch.
-            let n = self.n;
-            launch_chunks(data, 1, |i, out| {
-                let j = i % n;
-                let t = self.ctx.mul_mod_shoup_lazy(
-                    cells[i].load(Ordering::Relaxed),
-                    tw.inverse_scale.twiddles[j],
-                    tw.inverse_scale.shoup[j],
-                );
-                out[0] = if t >= q { t - q } else { t };
-            })
-        } else {
-            let (n_inv, n_inv_shoup) = self.n_inv_pair();
-            launch_chunks(data, 1, |i, out| {
-                let t = self.ctx.mul_mod_shoup_lazy(
-                    cells[i].load(Ordering::Relaxed),
-                    n_inv,
-                    n_inv_shoup,
-                );
-                out[0] = if t >= q { t - q } else { t };
-            })
-        };
-        stats.accumulate(pass);
-        pool.recycle_cells(cells);
-        stats.allocs += (pool.misses() - before) as usize;
-        stats
-    }
-
-    /// Runs the butterfly stages of every transform in the batch on the
-    /// launcher — one launch per stage covering the whole batch — leaving the
-    /// results (values lazily reduced in `[0, 4q)`) in the caller-provided
-    /// working plane and returning the accumulated stage statistics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells.len() != data.len()` or `data` is not a non-zero
-    /// multiple of the transform size.
-    fn run_stages_batched(
-        &self,
-        data: &mut [u64],
-        forward: bool,
-        cells: &[AtomicU64],
-    ) -> LaunchStats {
-        assert!(
-            !data.is_empty() && data.len() % self.n == 0,
-            "data length must be a non-zero multiple of the transform size"
-        );
-        assert_eq!(
-            cells.len(),
-            data.len(),
-            "working plane length must equal the data length"
-        );
-        let batch = data.len() / self.n;
-        let half = self.n / 2;
-        for transform in data.chunks_exact_mut(self.n) {
-            bit_reverse_permute(transform);
-        }
-        for (cell, &x) in cells.iter().zip(data.iter()) {
-            cell.store(x, Ordering::Relaxed);
-        }
-        let mut stats = LaunchStats::default();
-        let q = self.ctx.q;
-        let two_q = self.two_q();
-        let mut m = 1;
-        // A negacyclic forward runs its folded first stage here: each butterfly
-        // input is multiplied by its slot's ψ^{rev(i)} twist factor (lazy Shoup
-        // product, [0, 2q)) before the add/sub — the same launch the plain
-        // stage-1 butterflies would have used, with the twist riding along.
-        if forward {
-            if let Some(tw) = self.twist() {
-                let round = launch_indexed(batch * half, |t| {
-                    let base = (t / half) * self.n;
-                    let bf = t % half;
-                    let i = base + 2 * bf;
-                    let k = i + 1;
-                    let (j0, j1) = (2 * bf, 2 * bf + 1);
-                    let x = cells[i].load(Ordering::Relaxed);
-                    let y = cells[k].load(Ordering::Relaxed);
-                    let hi0 = ((tw.forward.shoup[j0] as u128 * x as u128) >> 64) as u64;
-                    let t0 = tw.forward.twiddles[j0]
-                        .wrapping_mul(x)
-                        .wrapping_sub(hi0.wrapping_mul(q));
-                    let hi1 = ((tw.forward.shoup[j1] as u128 * y as u128) >> 64) as u64;
-                    let t1 = tw.forward.twiddles[j1]
-                        .wrapping_mul(y)
-                        .wrapping_sub(hi1.wrapping_mul(q));
-                    cells[i].store(t0 + t1, Ordering::Relaxed);
-                    cells[k].store(t0 + two_q - t1, Ordering::Relaxed);
-                });
-                stats.accumulate(round);
-                m = 2;
-            }
-        }
-        while m < self.n {
-            let stage = self.stage(forward, m);
-            let round = launch_indexed(batch * half, |t| {
-                // Thread t handles butterfly t % (n/2) of transform t / (n/2).
-                let base = (t / half) * self.n;
-                let bf = t % half;
-                let i = base + butterfly_base(bf, m);
-                let k = i + m;
-                let j = bf & (m - 1);
-                // Harvey's lazy butterfly, identical to the inline hot loop: fold
-                // x into [0, 2q), take the lazy Shoup product t = w·y mod q in
-                // [0, 2q), and emit x + t and x − t + 2q, both < 4q.
-                let mut x = cells[i].load(Ordering::Relaxed);
-                if x >= two_q {
-                    x -= two_q;
-                }
-                let y = cells[k].load(Ordering::Relaxed);
-                let hi = ((stage.shoup[j] as u128 * y as u128) >> 64) as u64;
-                let t = stage.twiddles[j]
-                    .wrapping_mul(y)
-                    .wrapping_sub(hi.wrapping_mul(q));
-                cells[i].store(x + t, Ordering::Relaxed);
-                cells[k].store(x + two_q - t, Ordering::Relaxed);
-            });
-            stats.accumulate(round);
-            m <<= 1;
-        }
-        stats
+        launch_transforms(data, self.n, |_, row| self.inverse(row))
     }
 }
 
@@ -310,7 +172,6 @@ impl<const L: usize> NttPlan<L> {
 mod tests {
     use super::*;
     use crate::params::NttParams;
-    use crate::transform::butterfly_count;
     use moma_gpu::BufferPool;
     use moma_mp::MulAlgorithm;
     use rand::rngs::StdRng;
@@ -373,8 +234,8 @@ mod tests {
         let pool = BufferPool::new();
         let mut batched = data.clone();
         let stats = plan.forward_batch_on_launcher_pooled(&mut batched, &pool);
-        // One launch per stage plus the normalize pass, independent of batch.
-        assert_eq!(stats.launches, n.trailing_zeros() as usize + 1);
+        // One block per transform, all in one launch, independent of batch.
+        assert_eq!(stats.launches, 1);
         assert_eq!(
             stats.threads as u64,
             batch as u64 * butterfly_count(n) + (batch * n) as u64
@@ -387,9 +248,9 @@ mod tests {
                 .launches;
         }
         assert_eq!(batched, single, "batched forward must match per-transform");
-        assert_eq!(single_launches, batch * (n.trailing_zeros() as usize + 1));
+        assert_eq!(single_launches, batch);
         let inv_stats = plan.inverse_batch_on_launcher_pooled(&mut batched, &pool);
-        assert_eq!(inv_stats.launches, n.trailing_zeros() as usize + 1);
+        assert_eq!(inv_stats.launches, 1);
         assert_eq!(
             batched, data,
             "batched inverse ∘ forward must be the identity"
@@ -427,16 +288,15 @@ mod tests {
         let pool = BufferPool::new();
         let mut launched = data.clone();
         let stats = plan.forward_batch_on_launcher_pooled(&mut launched, &pool);
-        // The folded twist stage replaces the plain stage 1: still one launch
-        // per stage plus the normalize pass.
-        assert_eq!(stats.launches, n.trailing_zeros() as usize + 1);
+        // The twist is folded into each row's transform: still one launch.
+        assert_eq!(stats.launches, 1);
         let mut inline = data.clone();
         for transform in inline.chunks_exact_mut(n) {
             plan.forward(transform);
         }
         assert_eq!(launched, inline, "negacyclic forward must match inline");
         let inv_stats = plan.inverse_batch_on_launcher_pooled(&mut launched, &pool);
-        assert_eq!(inv_stats.launches, n.trailing_zeros() as usize + 1);
+        assert_eq!(inv_stats.launches, 1);
         assert_eq!(
             launched, data,
             "negacyclic batched inverse ∘ forward must be the identity"
@@ -472,19 +332,17 @@ mod tests {
         for transform in plain.chunks_exact_mut(128) {
             plan.forward(transform);
         }
-        // Cold pool: the first acquire misses, and the miss is the alloc count.
+        // The transform runs in place: even a cold pool is never touched.
         let cold = plan.forward_batch_on_launcher_pooled(&mut pooled, &pool);
         assert_eq!(pooled, plain, "pooled forward must match the inline plan");
-        assert_eq!(cold.allocs, 1, "a cold pool allocates the plane once");
+        assert_eq!(cold.allocs, 0, "an in-place launch allocates nothing");
         for transform in plain.chunks_exact_mut(128) {
             plan.inverse(transform);
         }
         let warm = plan.inverse_batch_on_launcher_pooled(&mut pooled, &pool);
         assert_eq!(pooled, plain, "pooled inverse must match the inline plan");
-        assert_eq!(
-            warm.allocs, 0,
-            "a warm pool serves the plane without allocating"
-        );
+        assert_eq!(warm.allocs, 0);
+        assert_eq!(pool.stats(), Default::default(), "the pool is unused");
         assert_eq!(
             pooled, data,
             "pooled inverse ∘ forward must be the identity"

@@ -13,9 +13,10 @@
 //! * [`plan`] — precomputed execution plans: bit-reversed twiddle tables built once
 //!   per (modulus, n), with Shoup precomputed quotients and lazy reduction on the
 //!   single-word path — the hot-path entry points for repeated transforms;
-//! * [`launcher`] — stage-level batched execution of the plans on the simulated
-//!   GPU launcher: each stage dispatches one virtual thread per butterfly through
-//!   `moma_gpu::launch_indexed`/`launch_chunks`, the paper's §5.1 execution shape;
+//! * [`launcher`] — execution of the plans on the simulated GPU launcher: a
+//!   batch of 64-bit transforms is one launch with one block per transform
+//!   (rows may use different moduli), and the multi-word plan dispatches each
+//!   stage as one virtual thread per butterfly, the paper's §5.1 shape;
 //! * [`mod@reference`] — the `O(n^2)` direct DFT used as a correctness oracle;
 //! * [`polymul`] — NTT-based polynomial multiplication (the application motivating the
 //!   kernel in FHE/ZKP workloads).

@@ -227,20 +227,6 @@ struct Twist64 {
     inv_scale_shoup: Vec<u64>,
 }
 
-/// Borrowed view of a plan's negacyclic twist tables, the interface stage-level
-/// executors (the launcher, session batching) consume the fold through.
-#[derive(Debug, Clone, Copy)]
-pub struct Twist64View<'a> {
-    /// The primitive `2n`-th root `ψ`.
-    pub psi: u64,
-    /// Per-slot twist factors `ψ^{rev(i)}` for the folded forward first stage
-    /// (indexed by position in the bit-reverse-permuted array).
-    pub forward: Stage64<'a>,
-    /// Per-slot untwist-and-scale factors `ψ^{-i}·n^{-1}` for the inverse's
-    /// final pass (natural output order).
-    pub inverse_scale: Stage64<'a>,
-}
-
 /// Why a restored [`NttPlan64`] table set was rejected by
 /// [`NttPlan64::from_tables`]. Every variant is fail-closed: nothing about the
 /// plan is usable once validation stops.
@@ -372,7 +358,7 @@ impl NttPlan64 {
     /// product. Requires `q ≡ 1 (mod 2n)` so a primitive `2n`-th root of unity
     /// `ψ` exists; the cyclic stages then run over `ω = ψ²` while the `ψ^i`
     /// twist is folded into the first forward stage and the `ψ^{-i}` untwist
-    /// into the inverse's scaling pass (see [`Twist64View`]) — the marginal
+    /// into the inverse's scaling pass — the marginal
     /// cost over the cyclic transform is one Shoup multiply per element on each
     /// direction, with no separate pass.
     ///
@@ -447,23 +433,6 @@ impl NttPlan64 {
     /// validated on restore.
     pub fn psi(&self) -> Option<u64> {
         self.twist.as_ref().map(|t| t.psi)
-    }
-
-    /// Borrowed view of the negacyclic twist tables (`None` for cyclic plans):
-    /// the folded forward first-stage factors and the inverse's combined
-    /// untwist-and-scale factors, with their Shoup quotients.
-    pub fn twist(&self) -> Option<Twist64View<'_>> {
-        self.twist.as_ref().map(|t| Twist64View {
-            psi: t.psi,
-            forward: Stage64 {
-                twiddles: &t.fwd_rev,
-                shoup: &t.fwd_rev_shoup,
-            },
-            inverse_scale: Stage64 {
-                twiddles: &t.inv_scale,
-                shoup: &t.inv_scale_shoup,
-            },
-        })
     }
 
     /// The full forward and inverse twiddle tables in the flat Harvey layout
@@ -606,9 +575,9 @@ impl NttPlan64 {
     /// The twiddle factors and Shoup quotients of one butterfly stage, selected
     /// by direction and stage half-length `m` (a power of two below `n`).
     ///
-    /// This is the stable interface stage-level executors (the launcher, session
-    /// batching) consume the plan through; the flat bit-reversed table layout
-    /// stays an implementation detail.
+    /// This is the stable interface callers read roots through (`ω_{2m}` is
+    /// `stage(true, m).twiddles[1]`); the flat bit-reversed table layout stays
+    /// an implementation detail.
     ///
     /// # Panics
     ///
@@ -627,12 +596,6 @@ impl NttPlan64 {
             twiddles: &table[m..2 * m],
             shoup: &shoup[m..2 * m],
         }
-    }
-
-    /// `2q` — the upper bound of the lazy-reduction fold (values live in
-    /// `[0, 4q)` between stages; see [`NttPlan64::from_ntt`]).
-    pub fn two_q(&self) -> u64 {
-        self.two_q
     }
 
     /// `n^{-1} mod q` and its Shoup precomputed quotient, the inverse
@@ -980,7 +943,7 @@ mod tests {
             let restored = roundtrip_tables(&fresh).expect("a fresh plan's tables must validate");
             assert_eq!(restored.twiddle_tables(), fresh.twiddle_tables());
             assert_eq!(restored.n_inv_pair(), fresh.n_inv_pair(), "n = {n}");
-            assert_eq!(restored.two_q(), fresh.two_q());
+            assert_eq!(restored.two_q, fresh.two_q);
             let mut rng = StdRng::seed_from_u64(75);
             let data: Vec<u64> = (0..n).map(|_| rng.gen::<u64>() % fresh.ctx.q).collect();
             let mut a = data.clone();

@@ -1,6 +1,6 @@
 //! [`RingContext`] and [`RingElt`]: the negacyclic ring `R_Q = Z_Q[X]/(X^n+1)`
 //! over an RNS moduli ladder, with every hot operation riding the planned
-//! engine — per-modulus negacyclic NTTs batched on the launcher, pointwise
+//! engine — every residue row's negacyclic NTT in one launch, pointwise
 //! products through the RNS BLAS plan, and level drops through the fused
 //! rescale-then-extend chain. All working planes come from a caller-provided
 //! [`BufferPool`], so a warm ladder reports zero allocations per level.
@@ -11,6 +11,7 @@ use moma_bignum::BigUint;
 use moma_blas::BlasOp;
 use moma_gpu::launch::LaunchStats;
 use moma_gpu::pool::BufferPool;
+use moma_ntt::launcher::launch_transforms;
 use moma_ntt::NttPlan64;
 use moma_rns::{RescaleExtendPlan, RnsContext, RnsMatrix, RnsPlan};
 
@@ -215,41 +216,35 @@ impl RingContext {
         elt.clone_with_pool(pool)
     }
 
-    /// Raises `elt` into the evaluation domain in place: one batched
-    /// negacyclic forward transform per residue row (the `ψ`-twist is folded
-    /// into the transform's first stage, so this is the whole raise).
+    /// Raises `elt` into the evaluation domain in place: one launch over the
+    /// whole residue matrix, one block per row, row `r` run by its modulus'
+    /// inline negacyclic forward transform (the `ψ`-twist is folded into the
+    /// transform's first stage, so this is the whole raise).
     ///
     /// # Panics
     ///
     /// Panics if `elt` is already in the evaluation domain.
-    pub fn forward_ntt(&self, elt: &mut RingElt, pool: &BufferPool) -> LaunchStats {
+    pub fn forward_ntt(&self, elt: &mut RingElt) -> LaunchStats {
         assert_eq!(elt.domain, Domain::Coefficient, "element already raised");
-        let rows = elt.matrix.row_count();
-        let mut stats = LaunchStats::default();
-        for r in 0..rows {
-            stats.accumulate(
-                self.ntt[r].forward_batch_on_launcher_pooled(elt.matrix.row_mut(r), pool),
-            );
-        }
+        let stats = launch_transforms(elt.matrix.rows_mut(), self.n, |r, row| {
+            self.ntt[r].forward(row)
+        });
         elt.domain = Domain::Evaluation;
         stats
     }
 
-    /// Lowers `elt` back to the coefficient domain in place (the `ψ^{-i}`
-    /// untwist rides the inverse transform's scaling pass).
+    /// Lowers `elt` back to the coefficient domain in place, in one launch as
+    /// in [`RingContext::forward_ntt`] (the `ψ^{-i}` untwist rides each row's
+    /// inverse scaling pass).
     ///
     /// # Panics
     ///
     /// Panics if `elt` is already in the coefficient domain.
-    pub fn inverse_ntt(&self, elt: &mut RingElt, pool: &BufferPool) -> LaunchStats {
+    pub fn inverse_ntt(&self, elt: &mut RingElt) -> LaunchStats {
         assert_eq!(elt.domain, Domain::Evaluation, "element already lowered");
-        let rows = elt.matrix.row_count();
-        let mut stats = LaunchStats::default();
-        for r in 0..rows {
-            stats.accumulate(
-                self.ntt[r].inverse_batch_on_launcher_pooled(elt.matrix.row_mut(r), pool),
-            );
-        }
+        let stats = launch_transforms(elt.matrix.rows_mut(), self.n, |r, row| {
+            self.ntt[r].inverse(row)
+        });
         elt.domain = Domain::Coefficient;
         stats
     }
@@ -361,7 +356,7 @@ impl RingContext {
         );
         let mut stats = LaunchStats::default();
         let mut fa = self.clone_elt(a, pool);
-        stats.accumulate(self.forward_ntt(&mut fa, pool));
+        stats.accumulate(self.forward_ntt(&mut fa));
         let mut prod = if std::ptr::eq(a, b) {
             let (p, s) = self.mul(&fa, &fa, pool);
             stats.accumulate(s);
@@ -373,14 +368,14 @@ impl RingContext {
                 "ladder steps start from coefficients"
             );
             let mut fb = self.clone_elt(b, pool);
-            stats.accumulate(self.forward_ntt(&mut fb, pool));
+            stats.accumulate(self.forward_ntt(&mut fb));
             let (p, s) = self.mul(&fa, &fb, pool);
             stats.accumulate(s);
             fb.recycle(pool);
             p
         };
         fa.recycle(pool);
-        stats.accumulate(self.inverse_ntt(&mut prod, pool));
+        stats.accumulate(self.inverse_ntt(&mut prod));
         let (next, s) = self.rescale_to_next_level(&prod, pool);
         stats.accumulate(s);
         prod.recycle(pool);
@@ -457,15 +452,62 @@ mod tests {
 
         let mut ea = ring.encode(0, &a, &pool);
         let mut eb = ring.encode(0, &b, &pool);
-        ring.forward_ntt(&mut ea, &pool);
-        ring.forward_ntt(&mut eb, &pool);
+        ring.forward_ntt(&mut ea);
+        ring.forward_ntt(&mut eb);
         let (mut prod, _) = ring.mul(&ea, &eb, &pool);
-        ring.inverse_ntt(&mut prod, &pool);
+        ring.inverse_ntt(&mut prod);
         let got = ring.decode(&prod);
 
         assert_eq!(got, oracle::negacyclic_mul(ring.product(0), &a, &b));
         for e in [ea, eb, prod] {
             e.recycle(&pool);
+        }
+    }
+
+    #[test]
+    fn raise_and_lower_are_one_launch_per_level_matching_the_inline_rows() {
+        let n = 64;
+        let moduli = ladder_primes(n, &[50, 30, 45, 30, 40]);
+        let ring = RingContext::new(n, &moduli);
+        let pool = BufferPool::new();
+        let per_row = moma_ntt::transform::butterfly_count(n) as usize + n;
+        for level in 0..ring.level_count() {
+            let rows = ring.basis(level).len();
+            let mut elt = ring.encode(
+                level,
+                &random_coeffs(10 + level as u64, &ring, level),
+                &pool,
+            );
+            let coeffs = elt.matrix().clone();
+
+            let raise = ring.forward_ntt(&mut elt);
+            assert_eq!(raise.launches, 1, "level {level}: raise is one launch");
+            assert_eq!(
+                raise.threads,
+                rows * per_row,
+                "level {level}: raise threads"
+            );
+            for r in 0..rows {
+                let mut want = coeffs.row(r).to_vec();
+                ring.ntt_plan(r).forward(&mut want);
+                assert_eq!(elt.matrix().row(r), want, "level {level} row {r}: raise");
+            }
+
+            let evals = elt.matrix().clone();
+            let lower = ring.inverse_ntt(&mut elt);
+            assert_eq!(lower.launches, 1, "level {level}: lower is one launch");
+            assert_eq!(
+                lower.threads,
+                rows * per_row,
+                "level {level}: lower threads"
+            );
+            for r in 0..rows {
+                let mut want = evals.row(r).to_vec();
+                ring.ntt_plan(r).inverse(&mut want);
+                assert_eq!(elt.matrix().row(r), want, "level {level} row {r}: lower");
+            }
+            assert_eq!(elt.matrix(), &coeffs, "level {level}: lower ∘ raise");
+            elt.recycle(&pool);
         }
     }
 
@@ -489,10 +531,10 @@ mod tests {
         // Evaluation domain: add commutes with the transform.
         let mut fa = ring.clone_elt(&ea, &pool);
         let mut fb = ring.clone_elt(&eb, &pool);
-        ring.forward_ntt(&mut fa, &pool);
-        ring.forward_ntt(&mut fb, &pool);
+        ring.forward_ntt(&mut fa);
+        ring.forward_ntt(&mut fb);
         let (mut fsum, _) = ring.add(&fa, &fb, &pool);
-        ring.inverse_ntt(&mut fsum, &pool);
+        ring.inverse_ntt(&mut fsum);
         assert_eq!(ring.decode(&fsum), want);
         for e in [ea, eb, fa, fb, fsum] {
             e.recycle(&pool);

@@ -653,15 +653,12 @@ impl RnsMatrix {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Mutable view of one residue row — the in-place hook that lets ring-level
-    /// callers run a per-modulus transform (e.g. a negacyclic NTT) directly on
-    /// the plane without copying the row out and back.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `r` is out of range.
-    pub fn row_mut(&mut self, r: usize) -> &mut [u64] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
+    /// Mutable view of the whole row-major plane (row `r` at
+    /// `r * len() .. (r + 1) * len()`) — the in-place hook that lets ring-level
+    /// callers run a per-modulus transform (e.g. a negacyclic NTT) on every
+    /// row in one launch without copying the plane out and back.
+    pub fn rows_mut(&mut self) -> &mut [u64] {
+        &mut self.data
     }
 
     /// Extracts one element's residue column as an [`RnsInt`] (inspection /

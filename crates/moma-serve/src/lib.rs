@@ -1,8 +1,8 @@
 //! A batching service front-end over one shared [`moma::Session`].
 //!
 //! The paper's performance story is *wide launches over warm plans*: a batched
-//! NTT runs `log2 n + 1` stage launches however many transforms ride in the
-//! batch, and an RNS chain op runs a fixed launch sequence however many
+//! NTT runs one launch (one block per transform) however many transforms ride
+//! in the batch, and an RNS chain op runs a fixed launch sequence however many
 //! elements it covers. A service that executes each client request by itself
 //! pays the full launch count per request; a service that **coalesces**
 //! concurrent requests into one flat batch divides it by the batch size. This
@@ -15,7 +15,7 @@
 //! * the dispatcher collects in-flight requests for up to a batching window and
 //!   groups them by compatible work — same `(q, n)` NTT direction, same tenant
 //!   RNS chain — into flat batches;
-//! * workers execute each batch through the session's stage-batched launchers
+//! * workers execute each batch through the session's batched launchers
 //!   ([`moma::session::NttSpace::forward_batch`]) and fused RNS chains, so the
 //!   plans, kernels, and twiddle tables are built once and shared across every
 //!   request the server ever sees;

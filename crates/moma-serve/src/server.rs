@@ -15,7 +15,7 @@
 //! workers propagates to admission. A worker re-checks every deadline once
 //! more before executing — a slow batch never wastes launches on requests
 //! nobody is waiting for — then flattens the group into one batch, executes it
-//! through the shared session's stage-batched launchers, splits the result,
+//! through the shared session's batched launchers, splits the result,
 //! and resolves every [`Ticket`] with its slice plus the group's batch
 //! statistics.
 //!
@@ -1049,8 +1049,8 @@ fn run_batch(shared: &Shared, seqs: &[u64], items: &[WorkItem]) -> (Vec<Response
         WorkItem::NttForward { q, n, .. } | WorkItem::NttInverse { q, n, .. } => {
             let forward = matches!(items[0], WorkItem::NttForward { .. });
             // One flat buffer — pooled, so a warm server never heap-allocates
-            // it — and one stage-batched transform for the whole group:
-            // log2(n) + 1 launches however many requests ride along.
+            // it — and one batched transform for the whole group: one
+            // launch however many requests ride along.
             let pool = shared.session.pool();
             let mut flat = pool.acquire(items.len() * n);
             for (slot, item) in flat.chunks_exact_mut(*n).zip(items) {
@@ -1216,9 +1216,8 @@ mod tests {
         for ticket in tickets {
             let done = ticket.wait().unwrap();
             assert_eq!(done.batch_size, 4);
-            // log2(64) stages + the lazy-reduction normalize pass, shared by
-            // the whole batch.
-            assert_eq!(done.batch_launches, 7);
+            // One launch, one block per transform, shared by the whole batch.
+            assert_eq!(done.batch_launches, 1);
         }
         let stats = server.stats();
         assert_eq!(stats.batches, 1);

@@ -15,7 +15,7 @@
 //!   [`session::RnsSpace`] / [`session::RnsVec`] with chainable ops, each on
 //!   the one production path of its RNS operation (including the fused
 //!   [`session::RnsVec::rescale_then_extend`] chain), [`session::NttSpace`]
-//!   with stage-batched transforms — sit on top and are *owned*
+//!   with batched transforms — sit on top and are *owned*
 //!   (`Send + 'static`), free to cross threads or sit in a request queue;
 //! * [`Compiler`] — the stateless kernel generator underneath (modular
 //!   add/sub/mul, NTT butterfly, BLAS axpy at any input bit-width, lowered with

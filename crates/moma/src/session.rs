@@ -64,8 +64,8 @@
 //! `rescale`/[`RnsVec::rescale_then_extend`] (the fused BEHZ `FastBConvSK`
 //! chain) — each on the one production path of its [`RnsPlan`] operation — and
 //! [`Session::ntt`] yields an [`NttSpace`] whose
-//! [`NttSpace::forward_batch`] runs many transforms with one launch per
-//! butterfly stage (grid = batch × n/2) — the paper's batched NTT.
+//! [`NttSpace::forward_batch`] runs many transforms in one launch, one block
+//! per transform — the GPU FHE libraries' batched NTT.
 //!
 //! # Example
 //!
@@ -870,12 +870,10 @@ impl NttSpace {
         self.plan.inverse(data);
     }
 
-    /// Forward-transforms `data.len() / n` transforms in place with one
-    /// launch per butterfly stage across the whole batch (grid = batch × n/2) —
-    /// the launch count of the returned statistics is `log2 n + 1` however
-    /// large the batch is. The stage-crossing working plane comes from the
-    /// session pool, so a warm space transforms without heap allocation
-    /// (`allocs == 0` in the returned statistics).
+    /// Forward-transforms `data.len() / n` transforms in place in one launch,
+    /// one block per transform, each running the plan's inline transform — the
+    /// launch count of the returned statistics is 1 however large the batch
+    /// is. The transform needs no working plane (`allocs == 0`).
     ///
     /// # Panics
     ///
@@ -1396,15 +1394,14 @@ impl RingSpace {
         self.ring.decode(v.elt())
     }
 
-    /// Raises `v` into the evaluation domain in place (batched negacyclic
-    /// forward transforms, one per residue row).
+    /// Raises `v` into the evaluation domain in place (one launch, one
+    /// negacyclic forward transform block per residue row).
     ///
     /// # Panics
     ///
     /// Panics if `v` is already raised.
     pub fn forward_ntt(&self, v: &mut RingVec) -> LaunchStats {
-        self.ring
-            .forward_ntt(v.elt.as_mut().expect("live element"), self.session.pool())
+        self.ring.forward_ntt(v.elt.as_mut().expect("live element"))
     }
 
     /// Lowers `v` back to the coefficient domain in place.
@@ -1413,8 +1410,7 @@ impl RingSpace {
     ///
     /// Panics if `v` is already lowered.
     pub fn inverse_ntt(&self, v: &mut RingVec) -> LaunchStats {
-        self.ring
-            .inverse_ntt(v.elt.as_mut().expect("live element"), self.session.pool())
+        self.ring.inverse_ntt(v.elt.as_mut().expect("live element"))
     }
 
     /// Pointwise ring multiply (both operands raised, same level).
@@ -1836,9 +1832,9 @@ mod tests {
             .collect();
         let mut batched = data.clone();
         let stats = space.forward_batch(&mut batched);
-        assert_eq!(stats.launches, 6 + 1, "log2(64) stages + normalize");
+        assert_eq!(stats.launches, 1, "one block per transform, one launch");
         let inv = space.inverse_batch(&mut batched);
-        assert_eq!(inv.launches, 6 + 1);
+        assert_eq!(inv.launches, 1);
         assert_eq!(batched, data);
     }
 

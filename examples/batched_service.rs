@@ -1,5 +1,5 @@
 //! Batched service example: one shared `Session` behind a `moma-serve` server,
-//! hit by concurrent clients whose requests coalesce into stage-batched
+//! hit by concurrent clients whose requests coalesce into batched
 //! launches.
 //!
 //! Run with: `cargo run -p moma-examples --example batched_service`
@@ -7,7 +7,7 @@
 //! Demonstrates the PR-6 ownership model end to end: `Session` is a cheap
 //! `Clone` handle over shared caches, the handles it yields are owned and
 //! `Send + 'static`, and the server's coalescing batcher turns many concurrent
-//! single-transform requests into one `log2(n) + 1`-launch batch.
+//! single-transform requests into one single-launch batch.
 //!
 //! Part two demonstrates the degraded-mode contract on a deliberately tiny
 //! server: a per-request deadline missed while the worker is wedged, a
